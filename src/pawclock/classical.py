@@ -16,11 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_laguerre, xlogy
+from scipy.special import gammaln, logsumexp, xlogy
 
 from .coherent import (
     LogAmplitude,
     SphereCoordinate,
+    gauss_laguerre,
     hcs_log_magnitude,
     scs_log_magnitude,
     sphere_quadrature,
@@ -126,7 +127,7 @@ def beta_double_integral(state: PawState, theta_order: int | None = None,
 
     if radial_order is None:
         radial_order = int(max(n)) + 40
-    u_nodes, u_weights = roots_laguerre(radial_order)
+    u_nodes, u_weights = gauss_laguerre(radial_order)
     keep = u_weights > 0.0
     u_nodes, u_weights = u_nodes[keep], u_weights[keep]
     log_r_fold = (0.5 * xlogy(n[None, :], u_nodes[:, None])

@@ -16,8 +16,9 @@ Exit codes: 0 success, 1 runtime failure (including failed verification),
 2 malformed arguments or config, 3 unknown figure name, 4 state that is not
 entanglement-admissible (or otherwise cannot be assembled).
 
-The PAW_THREADS environment variable caps the worker threads used by the
-space-time marginal; results are identical for any worker count.
+The PAW_THREADS environment variable sets the worker threads used by the
+space-time marginal (default min(4, CPU count); anything but a positive
+integer exits 2); results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .constraints import (
     reduce_ratio,
 )
 from .marginals import (
+    ConfigError,
     EOutOfRange,
     GridAxis,
     default_energy_axis,
@@ -98,10 +100,6 @@ _GRID_KEYS = {
     "t_count", "theta_count", "samples",
 }
 _TOL_KEYS = {"log_chi", "dphi"}
-
-
-class ConfigError(ValueError):
-    """A scenario config file is malformed."""
 
 
 @dataclass

@@ -10,12 +10,13 @@ assembled with max-shifted exponential sums.  Pole values use the convention
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, roots_laguerre, xlogy
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,30 @@ def plane_measure_weight(mass: int) -> float:
     return mass / (2.0 * math.pi)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per order.
+
+    The arrays are shared by every caller and therefore read-only.
+    """
+    return _read_only(*leggauss(order))
+
+
+@functools.lru_cache(maxsize=64)
+def gauss_laguerre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes and weights for weight e^{-u} on [0, inf), cached per order.
+
+    The arrays are shared by every caller and therefore read-only.
+    """
+    return _read_only(*roots_laguerre(order))
+
+
 def sphere_quadrature(two_j: int, order: int | None = None):
     """Nodes and weights integrating azimuth-independent f over the sphere measure.
 
@@ -217,7 +242,7 @@ def sphere_quadrature(two_j: int, order: int | None = None):
     """
     if order is None:
         order = max(256, two_j // 2 + 2)
-    x, w = leggauss(order)
+    x, w = gauss_legendre(order)
     return np.arccos(x), (two_j + 1) / 2.0 * w
 
 

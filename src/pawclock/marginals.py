@@ -13,21 +13,30 @@ Three marginals of the joint clock-oscillator density are supported:
 Everything is evaluated at finite (J, M) in log space.  Integrals use
 Gauss-Legendre nodes, so the binomial energy integrands (polynomials in
 e/(2*kappa)) are integrated exactly.
+
+The space-time marginal costs one Gram product per Q row instead of one grid
+sweep per branch pair.  With g_n(P) = sqrt(f_n(u)) e^{-i n arctan2(P, Q)} for
+the Fock density f_n, every momentum-integrated branch product of the row is
+an entry of C = (conj(g) w) @ g^T: the diagonal gives the static profile, the
+off-diagonal entries the interference.  Energy overlaps need one log-sum-exp
+per distinct midpoint (k_i + k_j)/2, and the kept pairs are summed per beat
+d = k_i - k_j before the time axis is applied, so the (Q, t) grid is one
+product of a (Q x beats) and a (beats x t) matrix.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .coherent import ln_binomial
+from .coherent import gauss_legendre, ln_binomial
 from .pawstate import PawState
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -37,15 +46,33 @@ class EOutOfRange(ValueError):
     """An energy sample lies outside the clock range [0, 2*kappa]."""
 
 
+class ConfigError(ValueError):
+    """A run setting (scenario config, flag or environment variable) is malformed."""
+
+
+# Q rows per block of the space-time kernel; blocks start at multiples of it.
+_ROW_BLOCK = 8
+# sqrt of the smallest normal double: products of larger numbers stay normal.
+_FLUSH = math.sqrt(sys.float_info.min)
+
+
 def _worker_count() -> int:
-    """Thread count for grid sweeps; the PAW_THREADS env var caps it."""
+    """Thread count for grid sweeps: PAW_THREADS if set, else min(4, CPU count)."""
     raw = os.environ.get("PAW_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+    if not raw:
+        return min(4, os.cpu_count() or 1)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"PAW_THREADS must be a positive integer, got {raw!r}")
+    return count
+
+
+def _pool_size(requested: int, chunks: int) -> int:
+    """Threads to start for ``chunks`` pieces of work: never more than the pieces."""
+    return max(1, min(requested, chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -285,40 +312,134 @@ def _momentum_quadrature(state: PawState, order: int) -> tuple[np.ndarray, np.nd
     reach = (math.sqrt(2.0 * n_max / state.mass)
              * (1.0 + math.sqrt(40.0 / max(n_max, 1)))
              + math.sqrt(80.0 / state.mass))
-    nodes, weights = leggauss(order)
+    nodes, weights = gauss_legendre(order)
     return reach * nodes, reach * weights
 
 
-def _diagonal_profile(state: PawState, q_values: np.ndarray,
-                      p_nodes: np.ndarray, p_weights: np.ndarray) -> np.ndarray:
-    """sum_m |c_m|^2 (M/2pi) integral dP of the branch Fock density, per Q."""
-    u = 0.5 * state.mass * (q_values[:, None] ** 2 + p_nodes[None, :] ** 2)
-    out = np.zeros_like(q_values)
-    for weight, n in zip(np.abs(state.amplitudes) ** 2, state.n_values):
-        # multiply-then-sum keeps the reduction order independent of the
-        # number of Q rows, so results do not depend on work chunking
-        out += weight * (np.exp(_log_fock_density(u, n)) * p_weights).sum(axis=1)
-    return out * state.mass / (2.0 * math.pi)
+def _pair_energy_overlap(state: PawState, k1, k2, order: int):
+    """log of the cross-term energy integral (2J+1) int_0^1 dx of the half-sum binomial.
+
+    Scalar or array ladder indices.  The log factors as
+    (ln binom(2J, k1) + ln binom(2J, k2))/2 + L((k1 + k2)/2), so one
+    log-sum-exp per distinct midpoint covers every pair.
+    """
+    two_j = state.two_j
+    nodes, weights = gauss_legendre(order)
+    x = 0.5 * (nodes + 1.0)
+    log_w = np.log(0.5 * weights)
+    half = 0.5 * (np.asarray(k1, dtype=float) + np.asarray(k2, dtype=float))
+    midpoints, where = np.unique(half, return_inverse=True)
+    midpoints = midpoints[:, None]
+    log_mid = logsumexp(xlogy(two_j - midpoints, 1.0 - x) + xlogy(midpoints, x) + log_w,
+                        axis=1)
+    return (0.5 * (ln_binomial(two_j, k1) + ln_binomial(two_j, k2))
+            + log_mid[where].reshape(half.shape) + math.log(two_j + 1))
+
+
+@dataclass(frozen=True)
+class _BeatPairs:
+    """Branch pairs i < j whose interference survives the amplitude cut.
+
+    Sorted by beat d = k_i - k_j; pairs sharing ``beats[b]`` start at
+    ``starts[b]``.  ``coefficient`` is 2|c_i||c_j| A_ij e^{-i(gamma_i - gamma_j)},
+    A_ij the energy overlap of the pair.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    coefficient: np.ndarray
+    starts: np.ndarray
+    beats: np.ndarray
+
+
+def _beat_pairs(state: PawState, e_order: int) -> _BeatPairs:
+    """Pairs whose amplitude 2|c_i||c_j| A_ij can reach 1e-300 (log > -700)."""
+    k = np.array(state.support)
+    first, second = np.triu_indices(k.size, 1)
+    moduli = np.abs(state.amplitudes)
+    gammas = np.angle(state.amplitudes)
+    log_amp = (np.log(2.0 * moduli[first] * moduli[second])
+               + _pair_energy_overlap(state, k[first], k[second], e_order))
+    keep = log_amp > -700.0
+    beat = k[first[keep]] - k[second[keep]]
+    order = np.argsort(beat, kind="stable")
+    first, second = first[keep][order], second[keep][order]
+    beats, starts = np.unique(beat[order], return_index=True)
+    coefficient = np.exp(log_amp[keep][order] - 1j * (gammas[first] - gammas[second]))
+    return _BeatPairs(first, second, coefficient, starts, beats)
+
+
+def _space_time_rows(state: PawState, q_values: np.ndarray, p_nodes: np.ndarray,
+                     p_weights: np.ndarray, pairs: _BeatPairs | None = None):
+    """Momentum-integrated branch products per Q row, in fixed blocks of rows.
+
+    With g_n(P) = sqrt(f_n(u)) e^{-i n arctan2(P, Q)}, the weighted Gram matrix
+    C = (conj(g) w) @ g^T of a row holds every branch product integrated over
+    P.  The momentum nodes are symmetric and g_n(-P) = conj(g_n(P)), so C is
+    real: the Gram matrix of the real and imaginary parts of g sqrt(w).
+    Returns ``branch`` (rows x N), the diagonal of C, and ``beat``
+    (rows x beats), each beat's sum of coefficient * C_ij over ``pairs``.
+
+    Blocks start at fixed row offsets and every row goes through the same
+    fixed-shape operations, so a row's bits do not depend on the thread count.
+    """
+    n = np.array(state.n_values, dtype=float)
+    half_log_norm = -0.5 * gammaln(n + 1.0)
+    ground = n == 0.0
+    half_log_w = 0.5 * np.log(p_weights)
+    steps, step_of = np.unique(np.diff(n), return_inverse=True)
+    if pairs is not None:
+        kept = pairs.first * n.size + pairs.second
+
+    def block(start: int):
+        q = q_values[start:start + _ROW_BLOCK, None]
+        u = 0.5 * state.mass * (q ** 2 + p_nodes ** 2)
+        # |g_n| sqrt(w), assembled in log space where u^n and n! cannot overflow
+        with np.errstate(divide="ignore", invalid="ignore"):
+            magnitude = n[:, None] * (0.5 * np.log(u))[:, None, :]
+        magnitude[:, ground] = 0.0  # 0 * log(0) = 0 where u = 0
+        magnitude += half_log_w - 0.5 * u[:, None, :]
+        magnitude += half_log_norm[:, None]
+        np.exp(magnitude, out=magnitude)
+        # Flushing terms below sqrt(tiny) keeps the Gram products out of
+        # slow subnormal arithmetic; each changes an entry of C by < 1e-153.
+        magnitude[magnitude < _FLUSH] = 0.0
+        # e^{-i n theta} by a recurrence along the branches: one complex
+        # exponential per distinct level step instead of one per level
+        theta = np.arctan2(p_nodes, q)
+        factors = np.exp(-1j * steps[:, None, None] * theta)
+        g = np.empty(magnitude.shape, dtype=complex)
+        g[:, 0] = np.exp(-1j * n[0] * theta)
+        for level in range(1, n.size):
+            np.multiply(g[:, level - 1], factors[step_of[level - 1]], out=g[:, level])
+        g *= magnitude
+        parts = g.view(np.float64)  # (Re, Im) pairs along P
+        gram = parts @ parts.swapaxes(1, 2)
+        branch = np.diagonal(gram, axis1=1, axis2=2).copy()  # not a view of gram
+        if pairs is None or pairs.starts.size == 0:
+            return branch, np.zeros((q.shape[0], 0), dtype=complex)
+        products = np.take(gram.reshape(q.shape[0], -1), kept, axis=1) * pairs.coefficient
+        return branch, np.add.reduceat(products, pairs.starts, axis=1)
+
+    starts = range(0, q_values.size, _ROW_BLOCK)
+    threads = _pool_size(_worker_count(), len(starts))
+    if threads == 1:
+        parts = [block(start) for start in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(block, starts))
+    return (np.concatenate([part[0] for part in parts]),
+            np.concatenate([part[1] for part in parts]))
 
 
 def space_time_diagonal(state: PawState, q_values, p_order: int = 400) -> np.ndarray:
     """Static part of the space-time marginal along Q (cross terms excluded)."""
     q_values = np.asarray(q_values, dtype=float)
     p_nodes, p_weights = _momentum_quadrature(state, p_order)
+    branch, _ = _space_time_rows(state, q_values, p_nodes, p_weights)
     prefactor = state.clock.epsilon / (2.0 * math.pi)
-    return prefactor * _diagonal_profile(state, q_values, p_nodes, p_weights)
-
-
-def _pair_energy_overlap(state: PawState, k1: int, k2: int, order: int) -> float:
-    """log of the cross-term energy integral (2J+1) int_0^1 dx of the half-sum binomial."""
-    two_j = state.two_j
-    half = 0.5 * (k1 + k2)
-    nodes, weights = leggauss(order)
-    x = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    log_terms = (0.5 * (ln_binomial(two_j, k1) + ln_binomial(two_j, k2))
-                 + xlogy(two_j - half, 1.0 - x) + xlogy(half, x) + np.log(w))
-    return float(logsumexp(log_terms) + math.log(two_j + 1))
+    plane_norm = state.mass / (2.0 * math.pi)
+    return prefactor * plane_norm * (branch @ np.abs(state.amplitudes) ** 2)
 
 
 def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
@@ -332,6 +453,7 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
     pair is a degree-2J polynomial, integrated exactly by Gauss-Legendre;
     the momentum integral uses ``p_order`` nodes over the occupied support.
     Branch pairs whose interference amplitude cannot reach 1e-300 are skipped.
+    Kept pairs are summed per beat frequency before the time axis is applied.
 
     Returns the sampled grid plus an InterferenceReport whose aggregates are
     trapezoid Q-integrals (the cross term's absolute value, averaged over t).
@@ -344,64 +466,17 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
         e_order = state.two_j // 2 + 2
 
     q_values = q_axis.values
-    t_values = t_axis.values
     p_nodes, p_weights = _momentum_quadrature(state, p_order)
     epsilon = state.clock.epsilon
     prefactor = epsilon / (2.0 * math.pi)
-    moduli = np.abs(state.amplitudes)
-    gammas = np.angle(state.amplitudes)
-
-    # Interference pairs that can matter, with their energy overlap A.
-    branches = range(len(state.support))
-    kept: list[tuple[int, int, float]] = []  # (i, j, amplitude 2|ci||cj|A)
-    for i in branches:
-        for j in branches:
-            if i >= j:
-                continue
-            log_a = _pair_energy_overlap(state, state.support[i],
-                                         state.support[j], e_order)
-            log_amp = math.log(2.0 * moduli[i] * moduli[j]) + log_a
-            if log_amp > -700.0:
-                kept.append((i, j, math.exp(log_amp)))
-
-    workers = _worker_count()
-    chunk_count = min(max(1, workers * 2), q_values.size) if workers > 1 else 1
-    chunks = np.array_split(np.arange(q_values.size), chunk_count)
-
-    def profile(index: np.ndarray):
-        q_chunk = q_values[index]
-        u = 0.5 * state.mass * (q_chunk[:, None] ** 2 + p_nodes[None, :] ** 2)
-        diag = np.zeros(q_chunk.size)
-        for weight, n in zip(moduli ** 2, state.n_values):
-            diag += weight * (np.exp(_log_fock_density(u, n)) * p_weights).sum(axis=1)
-        angles = np.arctan2(p_nodes[None, :], q_chunk[:, None])
-        cos_parts, sin_parts = [], []
-        for i, j, _ in kept:
-            n1, n2 = state.n_values[i], state.n_values[j]
-            base = np.exp(0.5 * (_log_fock_density(u, n1) + _log_fock_density(u, n2)))
-            psi = (n1 - n2) * angles - (gammas[i] - gammas[j])
-            cos_parts.append((base * np.cos(psi) * p_weights).sum(axis=1))
-            sin_parts.append((base * np.sin(psi) * p_weights).sum(axis=1))
-        return diag, cos_parts, sin_parts
-
-    if chunk_count == 1:
-        results = [profile(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(profile, chunks))
-
     plane_norm = state.mass / (2.0 * math.pi)
-    diagonal = plane_norm * np.concatenate([r[0] for r in results])
-    g_cos = [plane_norm * np.concatenate([r[1][p] for r in results])
-             for p in range(len(kept))]
-    g_sin = [plane_norm * np.concatenate([r[2][p] for r in results])
-             for p in range(len(kept))]
+    moduli = np.abs(state.amplitudes)
 
-    cross = np.zeros((q_values.size, t_values.size))
-    for p, (i, j, amplitude) in enumerate(kept):
-        beat = (state.support[i] - state.support[j]) * epsilon * t_values
-        cross += amplitude * (np.outer(g_cos[p], np.cos(beat))
-                              - np.outer(g_sin[p], np.sin(beat)))
+    pairs = _beat_pairs(state, e_order)
+    branch, beat = _space_time_rows(state, q_values, p_nodes, p_weights, pairs)
+    diagonal = plane_norm * (branch @ moduli ** 2)
+    phases = np.exp(1j * np.outer(pairs.beats * epsilon, t_axis.values))
+    cross = plane_norm * (beat @ phases).real
 
     values = prefactor * (diagonal[:, None] + cross)
     floor = float(values.min())
@@ -414,23 +489,20 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
         measure="eps/(2*pi), energy and momentum integrated out")
 
     diag_integrals = sorted(
-        (prefactor * w * float(_trapezoid(
-            plane_norm * np.exp(_log_fock_density(
-                0.5 * state.mass * (q_values[:, None] ** 2 + p_nodes[None, :] ** 2),
-                n)) @ p_weights, q_values))
-         for w, n in zip(moduli ** 2, state.n_values)),
+        prefactor * moduli ** 2 * plane_norm * _trapezoid(branch, q_values, axis=0),
         reverse=True)
-    i1 = diag_integrals[0]
+    i1 = float(diag_integrals[0])
     i2 = float(sum(diag_integrals[1:]))
     i_int = prefactor * float(np.mean(_trapezoid(np.abs(cross), q_values, axis=0)))
 
-    best = max(((i, j) for i in branches for j in branches if i < j),
-               key=lambda pair: moduli[pair[0]] * moduli[pair[1]])
+    first, second = np.triu_indices(moduli.size, 1)
+    best = int(np.argmax(moduli[first] * moduli[second]))
+    i, j = int(first[best]), int(second[best])
     report = InterferenceReport(
         clock_suppression_factor=clock_interference_factor(
-            state.two_j, state.support[best[0]], state.support[best[1]]),
+            state.two_j, state.support[i], state.support[j]),
         oscillator_suppression_factor=oscillator_interference_factor(
-            state.n_values[best[0]], state.n_values[best[1]]),
+            state.n_values[i], state.n_values[j]),
         i1=i1, i2=i2, i_int=i_int,
         ratio=i_int / (i1 + i2),
     )

@@ -76,6 +76,14 @@ def test_unknown_config_key_exits_two(tmp_path):
     assert "stat" in result.stderr
 
 
+def test_malformed_paw_threads_exits_two(tmp_path):
+    for value in ("four", "0"):
+        result = run_cli("figure", "marg-qt", "--out", str(tmp_path), threads=value)
+        assert result.returncode == 2, value
+        assert "PAW_THREADS" in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_figure_exits_three():
     result = run_cli("figure", "no-such-plot")
     assert result.returncode == 3

@@ -13,6 +13,8 @@ from pawclock.coherent import (
     PlaneCoordinate,
     SphereCoordinate,
     fock_cutoff,
+    gauss_laguerre,
+    gauss_legendre,
     hcs_log_magnitude,
     hcs_overlap,
     ln_binomial,
@@ -113,6 +115,20 @@ def test_sphere_quadrature_integrates_each_level_to_one():
         for k in (0, two_j // 2, two_j):
             total = np.sum(weights * np.exp(2.0 * scs_log_magnitude(thetas, two_j, k)))
             assert total == pytest.approx(1.0, abs=1e-10), (two_j, k)
+
+
+def test_gauss_rules_are_cached_read_only_arrays():
+    for rule, order in ((gauss_legendre, 256), (gauss_laguerre, 120)):
+        nodes, weights = rule(order)
+        again = rule(order)
+        assert again[0] is nodes and again[1] is weights
+        assert nodes.shape == weights.shape == (order,)
+        for array in (nodes, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    assert np.array_equal(gauss_laguerre(120)[0], roots_laguerre(120)[0])
+    assert np.array_equal(gauss_legendre(256)[0], np.polynomial.legendre.leggauss(256)[0])
 
 
 def test_sphere_measure_weight_total():

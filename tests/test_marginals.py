@@ -9,11 +9,14 @@ from scipy.integrate import simpson
 
 from pawclock.classical import theta_of_energy
 from pawclock.marginals import (
+    ConfigError,
     DistributionGrid,
     EOutOfRange,
     GridAxis,
     InterferenceReport,
     _pair_energy_overlap,
+    _pool_size,
+    _worker_count,
     classical_limit_section,
     clock_interference_factor,
     default_energy_axis,
@@ -293,6 +296,23 @@ def test_marginal_space_time_thread_count_invariance():
         else:
             os.environ["PAW_THREADS"] = saved
     assert np.array_equal(serial.values, threaded.values)
+
+
+def test_worker_count_reads_paw_threads(monkeypatch):
+    monkeypatch.delenv("PAW_THREADS", raising=False)
+    assert _worker_count() == min(4, os.cpu_count() or 1)
+    monkeypatch.setenv("PAW_THREADS", "3")
+    assert _worker_count() == 3
+    for value in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("PAW_THREADS", value)
+        with pytest.raises(ConfigError, match="PAW_THREADS"):
+            _worker_count()
+
+
+def test_pool_size_never_exceeds_chunks():
+    assert _pool_size(1_000_000, 3) == 3
+    assert _pool_size(2, 101) == 2
+    assert _pool_size(4, 0) == 1
 
 
 def test_marginal_space_time_suppression_at_large_mass():
