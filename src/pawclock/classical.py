@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import logsumexp
 
 from .coherent import (
     LogAmplitude,
     SphereCoordinate,
-    gauss_laguerre,
+    gauss_legendre,
     hcs_log_magnitude,
     scs_log_magnitude,
     sphere_quadrature,
@@ -107,44 +107,48 @@ def beta_amplitude(state: PawState, point: SphereCoordinate,
     return LogAmplitude(peak + math.log(abs(total)), cmath.phase(total))
 
 
+def _branch_norms(state: PawState, theta_order: int | None = None,
+                  radial_order: int | None = None) -> np.ndarray:
+    """Per-branch S_m * R_m, each factor 1 by a resolution of identity.
+
+    S_m is the Gauss-Legendre sphere quadrature of |<Omega|J, k_m>|^2 and R_m
+    the radial integral of |<alpha|n_m>|^2 over u = M|alpha|^2, which is the
+    Gamma(n + 1) density u^n e^-u / n!. R_m uses radial_order Gauss-Legendre
+    nodes (256 by default) on n +- (12*sqrt(n) + 30), clipped at u = 0. Both
+    are folded in log space, so neither factor overflows at 2J ~ 1100 or
+    n ~ 4000; the deviation of S_m * R_m from 1 is the quadrature error of
+    branch m.
+    """
+    k = np.array(state.support, dtype=float)
+    n = np.array(state.n_values, dtype=float)
+
+    thetas, w_sphere = sphere_quadrature(state.two_j, theta_order)
+    log_s = logsumexp(2.0 * scs_log_magnitude(thetas[:, None], state.two_j, k)
+                      + np.log(w_sphere)[:, None], axis=0)
+
+    x, w = gauss_legendre(256 if radial_order is None else radial_order)
+    reach = 12.0 * np.sqrt(n) + 30.0
+    low = np.maximum(0.0, n - reach)
+    half_width = 0.5 * (n + reach - low)
+    u = low + half_width * (1.0 + x[:, None])
+    log_r = logsumexp(2.0 * hcs_log_magnitude(u, n)
+                      + np.log(w)[:, None] + np.log(half_width), axis=0)
+    return np.exp(log_s + log_r)
+
+
 def beta_double_integral(state: PawState, theta_order: int | None = None,
                          radial_order: int | None = None) -> float:
     """Quadrature of |beta|^2 over both coherent-state measures; 1 for any state.
 
-    The 4D integral factorizes over the quadrature grid: Gauss-Legendre in
-    cos(theta) and Gauss-Laguerre in u = M|alpha|^2 handle the magnitudes
-    (folded into the summands in log space), while uniform azimuthal sums of
-    K > max spacing points evaluate the phase integrals exactly.
+    The azimuthal integrals over phi and arg(alpha) of the cross term between
+    branches m and m' give Kronecker deltas in k and in n, so only the
+    diagonal survives: the integral is sum_m |c_m|^2 * S_m * R_m, with the
+    per-branch sphere and radial factors of ``_branch_norms``. Time and
+    memory are O(N * order).
     """
-    k = np.array(state.support, dtype=float)
-    n = np.array(state.n_values, dtype=float)
     c = state.amplitudes
-
-    thetas, w_sphere = sphere_quadrature(state.two_j, theta_order)
-    log_c_fold = (scs_log_magnitude(thetas[:, None], state.two_j, k[None, :])
-                  + 0.5 * np.log(w_sphere)[:, None])
-    log_sc = logsumexp(log_c_fold[:, :, None] + log_c_fold[:, None, :], axis=0)
-
-    if radial_order is None:
-        radial_order = int(max(n)) + 40
-    u_nodes, u_weights = gauss_laguerre(radial_order)
-    keep = u_weights > 0.0
-    u_nodes, u_weights = u_nodes[keep], u_weights[keep]
-    log_r_fold = (0.5 * xlogy(n[None, :], u_nodes[:, None])
-                  - 0.5 * gammaln(n[None, :] + 1.0)
-                  + 0.5 * np.log(u_weights)[:, None])
-    log_sr = logsumexp(log_r_fold[:, :, None] + log_r_fold[:, None, :], axis=0)
-
-    def phase_deltas(indices: np.ndarray, count: int) -> np.ndarray:
-        angles = 2.0 * math.pi * np.arange(count) / count
-        spacing = indices[:, None] - indices[None, :]
-        return np.mean(np.exp(-1j * spacing[:, :, None] * angles), axis=-1)
-
-    d_clock = phase_deltas(k, state.two_j + 3)
-    d_plane = phase_deltas(n, int(max(n)) + 3)
-
-    cross = np.outer(c, np.conj(c)) * np.exp(log_sc + log_sr) * d_clock * d_plane
-    return float(np.sum(cross).real)
+    return float(np.sum((c.conj() * c).real * _branch_norms(state, theta_order,
+                                                              radial_order)))
 
 
 def stationary_residual(state: PawState, theta_peak: float, phi: float) -> float:

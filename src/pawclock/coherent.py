@@ -225,7 +225,9 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_laguerre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes and weights for weight e^{-u} on [0, inf), cached per order.
 
-    The arrays are shared by every caller and therefore read-only.
+    The arrays are shared by every caller and therefore read-only. Above
+    order ~360 scipy's weights come back NaN, so rules that must reach high
+    Fock levels use a windowed Gauss-Legendre rule instead.
     """
     return _read_only(*roots_laguerre(order))
 

@@ -160,11 +160,22 @@ def test_conditional_golden_amplitudes():
     assert abs(rows[4] - 1.0 / 16.0) < 1e-14
 
 
+def assert_checks_are_numeric(report):
+    """Every check carries a numeric value and tolerance that decide it."""
+    for check in report["checks"]:
+        for key in ("value", "tolerance"):
+            assert isinstance(check[key], (int, float)), (check["name"], key)
+        assert check["passed"] == (check["value"] <= check["tolerance"]), check["name"]
+
+
 def test_verify_passes_on_valid_state():
     result = run_cli("verify", *SPIN3)
     assert result.returncode == 0
     report = json.loads(result.stdout)
     assert report["all_passed"] is True
+    assert_checks_are_numeric(report)
+    beta = next(c for c in report["checks"] if c["name"] == "beta_normalized")
+    assert "worst branch (m+J, n) = (" in beta["detail"]
     names = {check["name"] for check in report["checks"]}
     assert names == {"constraint_residual_zero", "pair_enumeration_matches_search",
                      "chi_squared_normalized", "conditional_norm_unit",
@@ -179,6 +190,7 @@ def test_verify_detects_tampered_levels():
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "constraint_residual_zero" in failed
     assert "pair_enumeration_matches_search" in failed
+    assert_checks_are_numeric(report)
 
 
 # ---------------------------------------------------------------------------
