@@ -28,6 +28,7 @@ from .coherent import (
 )
 from .constraints import ClockSpec, OscillatorSpec
 from .pawstate import PawState, conditional_state
+from .table import write_table
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +244,44 @@ def classical_orbit(params: OrbitParams, t_grid) -> list[ClassicalConfig]:
     return configs
 
 
-def orbit_family(state: PawState, samples: int = 256, eta: float | None = None,
-                 phi0: float = 0.0) -> list[ClassicalConfig]:
-    """Orbits of every surviving level over one oscillator period.
+ORBIT_COLUMNS = ("E", "t", "q", "p", "Q", "P")
 
+
+def orbit_table(state: PawState, samples: int = 256, eta: float | None = None,
+                phi0: float = 0.0) -> tuple[np.ndarray, ...]:
+    """Orbits of every surviving level over one oscillator period, as columns.
+
+    Returns the six columns E, t, q, p, Q, P (see ORBIT_COLUMNS), one row per
+    sample, level after level in the order of ``surviving_configurations``.
     Energies use the large-M asymptote omega*n, so the dimensionless radii
-    are exactly sqrt(2n/M) as in the dense-orbit picture.
+    are exactly sqrt(2n/M) as in the dense-orbit picture.  All levels share
+    one phase grid, so cos and sin are taken once per sample, with ``math``
+    as in ``classical_orbit``; each level is that grid scaled by its
+    amplitude, and every entry equals the one ``classical_orbit`` gives.
     """
     m_omega = state.mass * state.oscillator.omega
     if eta is None:
         eta = m_omega
     t_grid = np.linspace(0.0, 2.0 * math.pi / m_omega, samples, endpoint=False)
-    configs: list[ClassicalConfig] = []
-    for level in surviving_configurations(state):
-        params = OrbitParams(energy=level.energy_classical, eta=eta, phi0=phi0,
-                             m_omega=m_omega)
-        configs.extend(classical_orbit(params, t_grid))
-    return configs
+    phase = (eta * t_grid + phi0).tolist()
+    cos = np.array([math.cos(x) for x in phase])
+    sin = np.array([math.sin(x) for x in phase])
+    energies = np.array([level.energy_classical
+                         for level in surviving_configurations(state)])
+    amplitude = np.sqrt(2.0 * energies)[:, None]
+    q = amplitude / m_omega * cos
+    p = -amplitude * sin
+    root = math.sqrt(m_omega)
+    levels = len(energies)
+    return (np.repeat(energies, samples), np.tile(t_grid, levels),
+            q.ravel(), p.ravel(), (q * root).ravel(), (p / root).ravel())
+
+
+def orbit_family(state: PawState, samples: int = 256, eta: float | None = None,
+                 phi0: float = 0.0) -> list[ClassicalConfig]:
+    """The rows of ``orbit_table`` as ClassicalConfig points."""
+    columns = (column.tolist() for column in orbit_table(state, samples, eta, phi0))
+    return [ClassicalConfig(*row) for row in zip(*columns)]
 
 
 def hamilton_residual(params: OrbitParams, t: float, dt: float) -> tuple[float, float]:
@@ -285,10 +307,16 @@ def orbit_energy(params: OrbitParams, config: ClassicalConfig) -> float:
 
 
 def write_orbit_csv(configs, path) -> None:
-    """Write sampled configurations as CSV rows E,t,q,p,Q,P."""
-    rows = np.array([[c.energy, c.t, c.q, c.p, c.big_q, c.big_p] for c in configs])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", newline="\n",
-               header="E,t,q,p,Q,P", comments="")
+    """Write sampled configurations as CSV rows E,t,q,p,Q,P.
+
+    ``configs`` is a sequence of ClassicalConfig or the columns of
+    ``orbit_table``.
+    """
+    if not (isinstance(configs, tuple)
+            and all(isinstance(column, np.ndarray) for column in configs)):
+        rows = [[c.energy, c.t, c.q, c.p, c.big_q, c.big_p] for c in configs]
+        configs = np.array(rows, dtype=float).reshape(-1, len(ORBIT_COLUMNS)).T
+    write_table(path, ORBIT_COLUMNS, configs)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from scipy.special import gammaln, logsumexp, xlogy
 
 from .coherent import gauss_legendre, ln_binomial
 from .pawstate import PawState
+from .table import write_table
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -139,18 +140,14 @@ class DistributionGrid:
 
     def write_csv(self, path) -> None:
         """One row per cell: coordinates then value, 17 significant digits."""
-        names = [axis.name for axis in self.axes]
+        names = [*(axis.name for axis in self.axes), "value"]
         if len(self.axes) == 1:
-            table = np.column_stack([self.axes[0].values, self.values])
+            coordinates = [self.axes[0].values]
         else:
             first, second = self.axes
-            table = np.column_stack([
-                np.repeat(first.values, second.count),
-                np.tile(second.values, first.count),
-                self.values.ravel(),
-            ])
-        np.savetxt(path, table, fmt="%.17g", delimiter=",", newline="\n",
-                   header=",".join([*names, "value"]), comments="")
+            coordinates = [np.repeat(first.values, second.count),
+                           np.tile(second.values, first.count)]
+        write_table(path, names, [*coordinates, self.values.ravel()])
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,21 @@ def test_verify_detects_tampered_levels():
     assert_checks_are_numeric(report)
 
 
+def test_verify_at_degenerate_theta_still_reports():
+    """At theta = 0 chi^2 vanishes: both clock-angle checks fail, the rest run."""
+    result = run_cli("verify", *SPIN3, "--theta", "0")
+    assert result.returncode == 1
+    report = json.loads(result.stdout)
+    assert report["all_passed"] is False
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"conditional_norm_unit", "schrodinger_order_two"}
+    names = {check["name"] for check in report["checks"]}
+    assert names == {"constraint_residual_zero", "pair_enumeration_matches_search",
+                     "chi_squared_normalized", "conditional_norm_unit",
+                     "schrodinger_order_two", "beta_normalized"}
+    assert_checks_are_numeric(report)
+
+
 # ---------------------------------------------------------------------------
 # figures
 # ---------------------------------------------------------------------------

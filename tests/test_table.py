@@ -1,0 +1,130 @@
+"""The shared CSV writer against numpy's savetxt, and the array orbit table."""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pawclock.classical import (
+    OrbitParams,
+    classical_orbit,
+    orbit_family,
+    orbit_table,
+    surviving_configurations,
+    write_orbit_csv,
+)
+from pawclock.pawstate import dense_family_state, large_j_pair_state, spin3_pair_state
+from pawclock.table import _BLOCK_ROWS, write_table
+
+# Values whose text is easy to get wrong: both zeros, NaNs of either sign and
+# another payload, both infinities, subnormals, the extremes of the range.
+SPECIALS = np.concatenate([
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -1.5e-310, 2.2250738585072014e-308,
+     1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5, 801.0],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+             dtype=np.uint64).view(np.float64),
+])
+
+
+def savetxt_bytes(path: Path, names, columns) -> bytes:
+    table = np.column_stack(columns)
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", newline="\n",
+               header=",".join(names), comments="")
+    return path.read_bytes()
+
+
+def write_table_bytes(path: Path, names, columns) -> bytes:
+    write_table(path, names, columns)
+    return path.read_bytes()
+
+
+@given(rows=st.one_of(st.integers(0, 40),
+                      st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                       _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])),
+       width=st.integers(1, 4),
+       pool=st.lists(st.floats(width=64), max_size=8),
+       distinct=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_write_table_matches_savetxt(rows, width, pool, distinct, seed):
+    """Same bytes as savetxt, for heavy repeats and for all-distinct bit patterns."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.array(pool, dtype=float), SPECIALS])
+    columns = []
+    for _ in range(width):
+        if distinct:
+            bits = rng.integers(-2 ** 63, 2 ** 63 - 1, size=rows, dtype=np.int64)
+            columns.append(bits.view(np.float64))
+        else:
+            columns.append(values[rng.integers(len(values), size=rows)])
+    names = [f"c{index}" for index in range(width)]
+    with tempfile.TemporaryDirectory() as scratch:
+        expected = savetxt_bytes(Path(scratch) / "expected.csv", names, columns)
+        got = write_table_bytes(Path(scratch) / "got.csv", names, columns)
+    assert got == expected
+
+
+def test_write_table_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "ragged.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
+# ---------------------------------------------------------------------------
+# orbit table
+# ---------------------------------------------------------------------------
+
+ORBIT_CASES = [
+    (spin3_pair_state, 64, None, 0.0),
+    (lambda: dense_family_state(20), 256, None, 0.0),
+    (lambda: dense_family_state(10), 37, 2.5, 0.3),
+    (lambda: large_j_pair_state(120), 100, None, -1.2),
+]
+
+
+@pytest.mark.parametrize("make_state, samples, eta, phi0", ORBIT_CASES)
+def test_orbit_table_equals_classical_orbit_bitwise(make_state, samples, eta, phi0):
+    """Each level's block of rows is bit for bit the orbit classical_orbit samples."""
+    state = make_state()
+    table = np.column_stack(orbit_table(state, samples=samples, eta=eta, phi0=phi0))
+    levels = surviving_configurations(state)
+    assert table.shape == (len(levels) * samples, 6)
+    m_omega = state.mass * state.oscillator.omega
+    t_grid = np.linspace(0.0, 2.0 * math.pi / m_omega, samples, endpoint=False)
+    for index, level in enumerate(levels):
+        params = OrbitParams(energy=level.energy_classical,
+                             eta=m_omega if eta is None else eta,
+                             phi0=phi0, m_omega=m_omega)
+        expected = np.array([[c.energy, c.t, c.q, c.p, c.big_q, c.big_p]
+                             for c in classical_orbit(params, t_grid)])
+        block = table[index * samples:(index + 1) * samples]
+        assert np.array_equal(block.view(np.int64), expected.view(np.int64)), level.n
+
+
+def test_orbit_family_and_csv_follow_the_table(tmp_path):
+    """orbit_family is the per-level classical_orbit list; both CSV inputs agree."""
+    state = dense_family_state(10)
+    m_omega = state.mass * state.oscillator.omega
+    t_grid = np.linspace(0.0, 2.0 * math.pi / m_omega, 16, endpoint=False)
+    expected = []
+    for level in surviving_configurations(state):
+        expected.extend(classical_orbit(
+            OrbitParams(energy=level.energy_classical, eta=m_omega, phi0=0.0,
+                        m_omega=m_omega), t_grid))
+    configs = orbit_family(state, samples=16)
+    assert configs == expected
+    table = orbit_table(state, samples=16)
+    write_orbit_csv(configs, tmp_path / "from_configs.csv")
+    write_orbit_csv(table, tmp_path / "from_table.csv")
+    text = (tmp_path / "from_table.csv").read_bytes()
+    assert text == (tmp_path / "from_configs.csv").read_bytes()
+    assert text == savetxt_bytes(tmp_path / "expected.csv", ["E", "t", "q", "p", "Q", "P"],
+                                 table)
+
+
+def test_write_orbit_csv_of_no_configs_is_the_header(tmp_path):
+    write_orbit_csv([], tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text() == "E,t,q,p,Q,P\n"
