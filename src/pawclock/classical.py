@@ -21,6 +21,7 @@ from scipy.special import logsumexp
 from .coherent import (
     LogAmplitude,
     SphereCoordinate,
+    _log_fock_density,
     gauss_legendre,
     hcs_log_magnitude,
     scs_log_magnitude,
@@ -132,7 +133,7 @@ def _branch_norms(state: PawState, theta_order: int | None = None,
     low = np.maximum(0.0, n - reach)
     half_width = 0.5 * (n + reach - low)
     u = low + half_width * (1.0 + x[:, None])
-    log_r = logsumexp(2.0 * hcs_log_magnitude(u, n)
+    log_r = logsumexp(_log_fock_density(u, n)
                       + np.log(w)[:, None] + np.log(half_width), axis=0)
     return np.exp(log_s + log_r)
 

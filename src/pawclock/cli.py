@@ -37,7 +37,6 @@ import numpy as np
 from .classical import (
     _branch_norms,
     beta_amplitude,
-    beta_double_integral,
     orbit_table,
     surviving_configurations,
     write_orbit_csv,
@@ -212,7 +211,7 @@ def parse_grid(text: str) -> tuple[str, float]:
     if key not in _GRID_KEYS:
         raise argparse.ArgumentTypeError(f"unknown grid key {key!r} (expected one of {sorted(_GRID_KEYS)})")
     try:
-        if key.endswith("_count") or key in ("t_count", "theta_count", "samples"):
+        if key.endswith("_count") or key == "samples":
             return key, int(value)
         return key, float(value)
     except ValueError as exc:
@@ -220,12 +219,19 @@ def parse_grid(text: str) -> tuple[str, float]:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The --config file with the --grid, --tol and --tamper-shift-n flags folded in."""
     path = getattr(args, "config", None)
     config = ScenarioConfig() if path is None else ScenarioConfig.load(path)
-    overrides = getattr(args, "grid", None)
-    if overrides:
+    grids = getattr(args, "grid", None)
+    if grids:
+        config = dataclasses.replace(config, grids={**config.grids, **dict(grids)})
+    tolerances = getattr(args, "tol", None)
+    if tolerances:
         config = dataclasses.replace(config,
-                                     grids={**config.grids, **dict(overrides)})
+                                     tolerances={**config.tolerances, **dict(tolerances)})
+    shift = getattr(args, "tamper_shift_n", 0)
+    if shift:
+        config = dataclasses.replace(config, tamper_shift_n=shift)
     return config
 
 
@@ -375,10 +381,7 @@ def cmd_chi2(args: argparse.Namespace) -> int:
 def cmd_conditional(args: argparse.Namespace) -> int:
     config = _load_config(args)
     state = _resolve_state(args, config)
-    tolerances = dict(config.tolerances)
-    for key, value in (args.tol or []):
-        tolerances[key] = value
-    log_tol = float(tolerances.get("log_chi", LOG_CHI_TOL))
+    log_tol = float(config.tolerances.get("log_chi", LOG_CHI_TOL))
     cond = conditional_state(state, args.theta, args.phi, log_tol=log_tol)
     print(f"theta = {args.theta:.12g}, phi = {args.phi:.12g}, "
           f"chi^2 = {cond.norm_chi2:.12g}")
@@ -452,12 +455,8 @@ def _check(name: str, value: float, tolerance: float, detail: str) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args)
     state = _resolve_state(args, config)
-    shift = args.tamper_shift_n if args.tamper_shift_n else config.tamper_shift_n
-    if shift:
-        state = shift_fock_levels(state, shift)
-    tolerances = dict(config.tolerances)
-    for key, value in (args.tol or []):
-        tolerances[key] = value
+    if config.tamper_shift_n:
+        state = shift_fock_levels(state, config.tamper_shift_n)
 
     checks = []
 
@@ -484,7 +483,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     theta, phi = args.theta, args.phi
     try:
         cond = conditional_state(state, theta, phi,
-                                 log_tol=float(tolerances.get("log_chi", LOG_CHI_TOL)))
+                                 log_tol=float(config.tolerances.get("log_chi", LOG_CHI_TOL)))
         norm = cond.norm()
         checks.append(_check("conditional_norm_unit", abs(norm - 1.0), 1e-12,
                              f"norm at theta={theta:.4f} is {norm:.15f}"))
@@ -503,8 +502,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                              f"conditional state undefined: {exc}"))
 
     if not args.skip_beta:
-        total_beta = beta_double_integral(state)
-        deviations = np.abs(_branch_norms(state) - 1.0)
+        # one _branch_norms call, summed exactly as beta_double_integral sums it
+        norms = _branch_norms(state)
+        c = state.amplitudes
+        total_beta = float(np.sum((c.conj() * c).real * norms))
+        deviations = np.abs(norms - 1.0)
         worst = int(np.argmax(deviations))
         checks.append(_check(
             "beta_normalized", abs(total_beta - 1.0), 1e-6,
@@ -595,9 +597,7 @@ def _figure_marg_qt(args, config, out: Path) -> int:
     state = _marginal_state(args, config)
     q_default, _ = default_phase_space_axes()
     q_axis = _grid_axis(config.grids, "q", q_default)
-    t_default = default_time_axis(state)
-    t_axis = GridAxis(t_default.name, t_default.start, t_default.stop,
-                      int(config.grids.get("t_count", t_default.count)))
+    t_axis = _grid_axis(config.grids, "t", default_time_axis(state))
     grid, report = marginal_space_time(state, q_axis, t_axis)
     return _write_marginal(out, "marg-qt", state, grid,
                            {"interference": dataclasses.asdict(report)})
@@ -642,7 +642,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_state_flags(parser: argparse.ArgumentParser) -> None:
+def _add_state_flags(parser: argparse.ArgumentParser, coeff_help: str | None = None) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON scenario config (unknown keys are rejected)")
     parser.add_argument("--two-j", dest="two_j", type=int, default=None,
@@ -655,6 +655,8 @@ def _add_state_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kappa-r", dest="kappa_r", type=parse_rational,
                         default=None, metavar="N/D",
                         help="synonym for --epsilon-over-omega (kappa*r = eps/omega)")
+    parser.add_argument("--coeff", action="append", type=parse_coefficient,
+                        metavar="K=COMPLEX", help=coeff_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -670,18 +672,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_build = sub.add_parser("build", help="assemble and summarize a state")
-    _add_state_flags(p_build)
-    p_build.add_argument("--coeff", action="append", type=parse_coefficient,
-                         metavar="K=COMPLEX",
-                         help="amplitude on branch m+J=K (repeatable); "
-                              "default is equal weight on every allowed pair")
+    _add_state_flags(p_build, coeff_help="amplitude on branch m+J=K (repeatable); "
+                                          "default is equal weight on every allowed pair")
     p_build.add_argument("--out", metavar="DIR", help="directory for state.json")
     p_build.set_defaults(func=cmd_build)
 
     p_chi2 = sub.add_parser("chi2", help="tabulate chi^2(theta)")
     _add_state_flags(p_chi2)
-    p_chi2.add_argument("--coeff", action="append", type=parse_coefficient,
-                        metavar="K=COMPLEX")
     p_chi2.add_argument("--theta-count", type=int, default=None)
     p_chi2.add_argument("--grid", action="append", type=parse_grid,
                         metavar="KEY=VALUE")
@@ -690,8 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cond = sub.add_parser("conditional", help="conditional oscillator state")
     _add_state_flags(p_cond)
-    p_cond.add_argument("--coeff", action="append", type=parse_coefficient,
-                        metavar="K=COMPLEX")
     p_cond.add_argument("--theta", type=float, required=True)
     p_cond.add_argument("--phi", type=float, default=0.0)
     p_cond.add_argument("--tol", action="append", type=parse_tolerance,
@@ -701,8 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_schro = sub.add_parser("schrodinger",
                              help="finite-difference order study of the evolution")
     _add_state_flags(p_schro)
-    p_schro.add_argument("--coeff", action="append", type=parse_coefficient,
-                         metavar="K=COMPLEX")
     p_schro.add_argument("--theta", type=float, default=math.pi / 2)
     p_schro.add_argument("--phi", type=float, default=0.7)
     p_schro.add_argument("--dphi", type=float, default=None,
@@ -714,8 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_beta = sub.add_parser("beta", help="joint overlap amplitude at one point")
     _add_state_flags(p_beta)
-    p_beta.add_argument("--coeff", action="append", type=parse_coefficient,
-                        metavar="K=COMPLEX")
     p_beta.add_argument("--theta", type=float, required=True)
     p_beta.add_argument("--phi", type=float, default=0.0)
     p_beta.add_argument("--big-q", dest="big_q", type=float, default=0.0,
@@ -727,8 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="reproduce a named data set")
     p_fig.add_argument("name", help=f"one of: {', '.join(FIGURE_NAMES)}")
     _add_state_flags(p_fig)
-    p_fig.add_argument("--coeff", action="append", type=parse_coefficient,
-                       metavar="K=COMPLEX")
     p_fig.add_argument("--j-list", dest="j_list", type=parse_int_list,
                        default=None, metavar="J1,J2,...",
                        help="spin values for chi2-largeJ (default 30,120,570)")
@@ -743,8 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orb = sub.add_parser("orbits", help="sample the classical orbit family")
     _add_state_flags(p_orb)
-    p_orb.add_argument("--coeff", action="append", type=parse_coefficient,
-                       metavar="K=COMPLEX")
     p_orb.add_argument("--samples", type=int, default=None)
     p_orb.add_argument("--grid", action="append", type=parse_grid,
                        metavar="KEY=VALUE")
@@ -753,8 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="internal consistency checks")
     _add_state_flags(p_verify)
-    p_verify.add_argument("--coeff", action="append", type=parse_coefficient,
-                          metavar="K=COMPLEX")
     p_verify.add_argument("--theta", type=float, default=math.pi / 2)
     p_verify.add_argument("--phi", type=float, default=0.7)
     p_verify.add_argument("--tol", action="append", type=parse_tolerance,

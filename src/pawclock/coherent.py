@@ -4,7 +4,9 @@ Spin coherent states on the sphere and Glauber coherent states on the plane
 both involve binomials and factorials far beyond float range (2J runs above
 1100 here), so amplitudes are carried as (natural-log magnitude, phase) and
 assembled with max-shifted exponential sums.  Pole values use the convention
-0 * log(0) = 0 so that extremal levels stay finite at theta = 0, pi.
+0 * log(0) = 0 so that extremal levels stay finite at theta = 0, pi.  The
+log Fock density log(e^{-u} u^n / n!) and log n! are computed here only, and
+every other module takes them from this one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, roots_laguerre, xlogy
+from scipy.special import gammaln, xlogy
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,7 @@ class PlaneCoordinate:
 # ---------------------------------------------------------------------------
 
 def ln_factorial(n):
-    """log(n!) for scalar or array n, via log-Gamma."""
+    """log(n!) for scalar or array n, via log-Gamma (so real n is allowed)."""
     return gammaln(np.asarray(n, dtype=float) + 1.0)
 
 
@@ -162,15 +164,22 @@ def scs_overlap(omega: SphereCoordinate, two_j: int, m_plus_j: int) -> LogAmplit
     return LogAmplitude(log_magnitude=lm, phase=-omega.phi * m_plus_j)
 
 
+def _log_fock_density(u, n):
+    """log |<alpha|n>|^2 = log(e^{-u} u^n / n!) with u = M*|alpha|^2.
+
+    The Poisson law of Fock level n at mean u, shared by every module that
+    needs it; xlogy supplies the 0*log(0) = 0 convention at u = 0.
+    """
+    return xlogy(n, u) - u - ln_factorial(n)
+
+
 def hcs_log_magnitude(u, n):
     """log |<alpha|n>| expressed through u = M*|alpha|^2 (scalar or array).
 
-    Equals -u/2 + (n/2)*ln(u) - ln(n!)/2: the square root of a Poisson
-    probability mass with mean u.
+    Half the log Fock density: the square root of a Poisson probability mass
+    with mean u.
     """
-    u = np.asarray(u, dtype=float)
-    n = np.asarray(n, dtype=float)
-    return -0.5 * u + 0.5 * xlogy(n, u) - 0.5 * gammaln(n + 1.0)
+    return 0.5 * _log_fock_density(np.asarray(u, dtype=float), n)
 
 
 def hcs_overlap(alpha: complex, mass: int, n: int) -> LogAmplitude:
@@ -219,17 +228,6 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     The arrays are shared by every caller and therefore read-only.
     """
     return _read_only(*leggauss(order))
-
-
-@functools.lru_cache(maxsize=64)
-def gauss_laguerre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Laguerre nodes and weights for weight e^{-u} on [0, inf), cached per order.
-
-    The arrays are shared by every caller and therefore read-only. Above
-    order ~360 scipy's weights come back NaN, so rules that must reach high
-    Fock levels use a windowed Gauss-Legendre rule instead.
-    """
-    return _read_only(*roots_laguerre(order))
 
 
 def sphere_quadrature(two_j: int, order: int | None = None):

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import logsumexp, xlogy
 
-from .coherent import gauss_legendre, ln_binomial
+from .coherent import _log_fock_density, gauss_legendre, ln_binomial, ln_factorial
 from .pawstate import PawState
 from .table import write_table
 
@@ -194,11 +194,6 @@ def default_time_axis(state: PawState) -> GridAxis:
 # phase-space marginal
 # ---------------------------------------------------------------------------
 
-def _log_fock_density(u: np.ndarray, n: float) -> np.ndarray:
-    """log of e^{-u} u^n / n! with the 0*log(0) pole convention."""
-    return xlogy(n, u) - u - gammaln(n + 1.0)
-
-
 def marginal_phase_space(state: PawState, q_axis: GridAxis | None = None,
                          p_axis: GridAxis | None = None) -> DistributionGrid:
     """Density (M/2pi) sum_m |c_m|^2 e^{-U} U^{n_m}/n_m!, U = M(Q^2+P^2)/2.
@@ -279,8 +274,8 @@ def oscillator_interference_factor(n1: int, n2: int) -> float:
     The Gamma function extends the midpoint factorial when n1+n2 is odd.
     """
     half = 0.5 * (n1 + n2)
-    return float(np.exp(gammaln(half + 1.0)
-                        - 0.5 * (gammaln(n1 + 1.0) + gammaln(n2 + 1.0))))
+    return float(np.exp(ln_factorial(half)
+                        - 0.5 * (ln_factorial(n1) + ln_factorial(n2))))
 
 
 def interference_suppression(two_j: int, m1_plus_j: int, m2_plus_j: int,
@@ -381,7 +376,7 @@ def _space_time_rows(state: PawState, q_values: np.ndarray, p_nodes: np.ndarray,
     fixed-shape operations, so a row's bits do not depend on the thread count.
     """
     n = np.array(state.n_values, dtype=float)
-    half_log_norm = -0.5 * gammaln(n + 1.0)
+    half_log_norm = -0.5 * ln_factorial(n)
     ground = n == 0.0
     half_log_w = 0.5 * np.log(p_weights)
     steps, step_of = np.unique(np.diff(n), return_inverse=True)

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import logsumexp
 
-from .coherent import scs_log_magnitude
+from .coherent import scs_log_magnitude, sphere_quadrature
 from .constraints import (
     AllowedPair,
     ClockSpec,
@@ -320,8 +320,6 @@ def chi_squared_terms(state: PawState, theta):
 
 def chi_squared_integral(state: PawState, order: int | None = None) -> float:
     """Integral of chi^2 over the clock sphere measure; 1 for any valid state."""
-    from .coherent import sphere_quadrature
-
     thetas, weights = sphere_quadrature(state.two_j, order)
     return float(np.sum(weights * chi_squared(state, thetas)))
 

@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 
-from pawclock.cli import ScenarioConfig
+import pytest
+
+from pawclock.cli import ScenarioConfig, build_parser
 
 BASE = [sys.executable, "-m", "pawclock"]
 SPIN3 = ["--two-j", "6", "--m", "1", "--kappa-r", "3/4"]
@@ -97,12 +99,44 @@ def test_inadmissible_state_exits_four():
     assert "not admissible" in result.stderr
 
 
+# log chi^2 = -940.5 at this reading: degenerate under the default -690 cut
+FAR_READING = ["--two-j", "510", "--m", "170", "--kappa-r", "1/2",
+               "--coeff", "171=1", "--coeff", "341=1", "--theta", "0.05"]
+
+
 def test_degenerate_theta_exits_one():
-    result = run_cli("conditional", "--two-j", "510", "--m", "170",
-                     "--kappa-r", "1/2", "--coeff", "171=1", "--coeff", "341=1",
-                     "--theta", "0.05")
+    result = run_cli("conditional", *FAR_READING)
     assert result.returncode == 1
     assert "error:" in result.stderr
+
+
+def test_log_chi_tolerance_from_flag_and_config(tmp_path):
+    """--tol and the config's tolerances both lower the cut; the flag wins."""
+    config = tmp_path / "tolerances.json"
+    ScenarioConfig(tolerances={"log_chi": -2000}).save(config)
+    assert run_cli("conditional", *FAR_READING, "--tol", "log_chi=-2000").returncode == 0
+    assert run_cli("conditional", *FAR_READING, "--config", str(config)).returncode == 0
+    result = run_cli("conditional", *FAR_READING, "--config", str(config),
+                     "--tol", "log_chi=-690")
+    assert result.returncode == 1
+    assert "error:" in result.stderr
+
+
+def test_verify_reads_config_tolerance(tmp_path):
+    config = tmp_path / "tolerances.json"
+    ScenarioConfig(tolerances={"log_chi": -2000}).save(config)
+    result = run_cli("verify", *FAR_READING, "--skip-beta", "--config", str(config))
+    report = json.loads(result.stdout)
+    norm = next(c for c in report["checks"] if c["name"] == "conditional_norm_unit")
+    assert norm["passed"] is True, norm
+
+
+@pytest.mark.parametrize("command", [
+    ["build"], ["chi2"], ["conditional", "--theta", "1"], ["schrodinger"],
+    ["beta", "--theta", "1"], ["figure", "marg-pq"], ["orbits"], ["verify"]])
+def test_every_state_command_parses_coeff(command):
+    args = build_parser().parse_args([*command, "--coeff", "2=1"])
+    assert args.coeff == [(2, (1 + 0j))]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pawclock.constraints import (
     AllowedPair,
@@ -71,19 +73,41 @@ def test_golden_family_three_quarters():
         assert is_entanglement_admissible(family) == (len(pairs) >= 2)
 
 
+def _assert_enumeration_matches(kappa_r, two_j):
+    n_max = math.ceil(kappa_r * two_j) + 1
+    expected = brute_force_pairs(kappa_r, two_j, n_max)
+    try:
+        found = pairs_for(kappa_r, two_j).mn_pairs()
+    except NoOddOverEvenForm:
+        found = []
+    assert found == expected, f"kappa*r = {kappa_r}, 2J = {two_j}"
+
+
+# Odd-over-even ratios (2 i_n + 1)/(2 i_m), which have pairs, and any
+# positive ratio, which mostly has no odd-over-even form.
+RATIOS = st.one_of(
+    st.builds(lambda i_n, i_m: Fraction(2 * i_n + 1, 2 * i_m),
+              st.integers(0, 200), st.integers(1, 200)),
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kappa_r=RATIOS, two_j=st.integers(1, 1140))
+def _random_ratios_match(kappa_r, two_j):
+    _assert_enumeration_matches(kappa_r, two_j)
+
+
 def test_enumeration_matches_brute_force_search():
-    """Closed form vs exhaustive rational search over a dense ratio sweep."""
+    """Closed form vs exhaustive rational search.
+
+    Every ratio num/den <= 11/12 at every 2J <= 40, then a property over
+    random ratios at 2J up to 1140.
+    """
     for num in range(1, 12):
         for den in range(1, 13):
-            kappa_r = Fraction(num, den)
             for two_j in range(1, 41):
-                n_max = math.ceil(kappa_r * two_j) + 1
-                expected = brute_force_pairs(kappa_r, two_j, n_max)
-                try:
-                    found = pairs_for(kappa_r, two_j).mn_pairs()
-                except NoOddOverEvenForm:
-                    found = []
-                assert found == expected, f"kappa*r = {kappa_r}, 2J = {two_j}"
+                _assert_enumeration_matches(Fraction(num, den), two_j)
+    _random_ratios_match()
 
 
 def test_pair_count_closed_form():
