@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .coherent import (
     LogAmplitude,
@@ -24,6 +23,7 @@ from .coherent import (
     _log_fock_density,
     gauss_legendre,
     hcs_log_magnitude,
+    logsumexp,
     scs_log_magnitude,
     sphere_quadrature,
 )

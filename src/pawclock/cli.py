@@ -49,7 +49,6 @@ from .constraints import (
 )
 from .marginals import (
     ConfigError,
-    EOutOfRange,
     GridAxis,
     default_energy_axis,
     default_phase_space_axes,
@@ -83,14 +82,37 @@ from .pawstate import (
 from .coherent import PlaneCoordinate, SphereCoordinate
 from .table import write_table
 
-_CONFIG_KEYS = {"state", "experiment", "grids", "out_dir", "tolerances", "tamper_shift_n"}
-_GRID_KEYS = {
-    "q_start", "q_stop", "q_count",
-    "p_start", "p_stop", "p_count",
-    "e_start", "e_stop", "e_count",
-    "t_count", "theta_count", "samples",
+# Every grid and tolerance setting, by config section, with the type of its value.
+_SETTINGS = {
+    "grids": {
+        "q_start": float, "q_stop": float, "q_count": int,
+        "p_start": float, "p_stop": float, "p_count": int,
+        "e_start": float, "e_stop": float, "e_count": int,
+        "t_count": int, "theta_count": int, "samples": int,
+    },
+    "tolerances": {"log_chi": float},
 }
-_TOL_KEYS = {"log_chi", "dphi"}
+
+
+def _setting(section: str, key: str, value):
+    """``value`` as the type of setting ``key`` in ``section``, else ConfigError.
+
+    A string is parsed; a number is taken if the type holds it exactly (801.0
+    is the count 801, 2.9 is no count).
+    """
+    kinds = _SETTINGS[section]
+    if key not in kinds:
+        raise ConfigError(f"unknown key {key!r} in {section!r} "
+                          f"(expected one of {sorted(kinds)})")
+    kind = kinds[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        if isinstance(value, str) or number and kind(value) == value:
+            return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    expected = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{section} setting {key}={value!r} is not {expected}")
 
 
 @dataclass
@@ -108,21 +130,16 @@ class ScenarioConfig:
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(doc) - _CONFIG_KEYS
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        grids = doc.get("grids", {})
-        if not isinstance(grids, dict):
-            raise ConfigError("'grids' must be an object")
-        bad = set(grids) - _GRID_KEYS
-        if bad:
-            raise ConfigError(f"unknown grid keys: {sorted(bad)}")
-        tolerances = doc.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ConfigError("'tolerances' must be an object")
-        bad = set(tolerances) - _TOL_KEYS
-        if bad:
-            raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
+        sections = {}
+        for section in _SETTINGS:
+            values = doc.get(section, {})
+            if not isinstance(values, dict):
+                raise ConfigError(f"'{section}' must be an object")
+            sections[section] = {key: _setting(section, key, value)
+                                 for key, value in values.items()}
         state = doc.get("state")
         if state is not None and not isinstance(state, dict):
             raise ConfigError("'state' must be an object")
@@ -135,18 +152,8 @@ class ScenarioConfig:
         experiment = doc.get("experiment")
         if experiment is not None and not isinstance(experiment, str):
             raise ConfigError("'experiment' must be a string")
-        return cls(state=state, experiment=experiment, grids=dict(grids),
-                   out_dir=out_dir, tolerances=dict(tolerances), tamper_shift_n=tamper)
-
-    def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "experiment": self.experiment,
-            "grids": dict(self.grids),
-            "out_dir": self.out_dir,
-            "tolerances": dict(self.tolerances),
-            "tamper_shift_n": self.tamper_shift_n,
-        }
+        return cls(state=state, experiment=experiment, out_dir=out_dir,
+                   tamper_shift_n=tamper, **sections)
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
@@ -159,7 +166,7 @@ class ScenarioConfig:
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(self), handle, indent=2, sort_keys=True)
             handle.write("\n")
 
 
@@ -193,45 +200,13 @@ def parse_coefficient(text: str) -> tuple[int, complex]:
         raise argparse.ArgumentTypeError(f"expected K=COMPLEX, got {text!r}") from exc
 
 
-def parse_tolerance(text: str) -> tuple[str, float]:
-    key, _, value = text.partition("=")
-    key = key.strip()
-    if key not in _TOL_KEYS:
-        raise argparse.ArgumentTypeError(f"unknown tolerance {key!r} (expected one of {sorted(_TOL_KEYS)})")
-    try:
-        return key, float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected {key}=FLOAT, got {text!r}") from exc
-
-
-def parse_grid(text: str) -> tuple[str, float]:
-    """Parse a --grid override like q_count=801 or e_stop=1.5."""
-    key, _, value = text.partition("=")
-    key = key.strip()
-    if key not in _GRID_KEYS:
-        raise argparse.ArgumentTypeError(f"unknown grid key {key!r} (expected one of {sorted(_GRID_KEYS)})")
-    try:
-        if key.endswith("_count") or key == "samples":
-            return key, int(value)
-        return key, float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad grid value in {text!r}") from exc
-
-
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     """The --config file with the --grid, --tol and --tamper-shift-n flags folded in."""
     path = getattr(args, "config", None)
     config = ScenarioConfig() if path is None else ScenarioConfig.load(path)
-    grids = getattr(args, "grid", None)
-    if grids:
-        config = dataclasses.replace(config, grids={**config.grids, **dict(grids)})
-    tolerances = getattr(args, "tol", None)
-    if tolerances:
-        config = dataclasses.replace(config,
-                                     tolerances={**config.tolerances, **dict(tolerances)})
-    shift = getattr(args, "tamper_shift_n", 0)
-    if shift:
-        config = dataclasses.replace(config, tamper_shift_n=shift)
+    for section in _SETTINGS:
+        getattr(config, section).update(getattr(args, section, None) or ())
+    config.tamper_shift_n = getattr(args, "tamper_shift_n", 0) or config.tamper_shift_n
     return config
 
 
@@ -281,10 +256,9 @@ def _state_from_flags(args: argparse.Namespace) -> PawState:
 
 
 def _grid_axis(grids: dict, prefix: str, default: GridAxis) -> GridAxis:
-    start = grids.get(f"{prefix}_start", default.start)
-    stop = grids.get(f"{prefix}_stop", default.stop)
-    count = grids.get(f"{prefix}_count", default.count)
-    return GridAxis(default.name, float(start), float(stop), int(count))
+    return GridAxis(default.name, grids.get(f"{prefix}_start", default.start),
+                    grids.get(f"{prefix}_stop", default.stop),
+                    grids.get(f"{prefix}_count", default.count))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -351,7 +325,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _write_chi2(args, config, path: Path) -> tuple[PawState, list[str], int]:
     """Tabulate theta, the per-branch terms of chi^2 and their sum into path."""
     state = _resolve_state(args, config)
-    count = args.theta_count or int(config.grids.get("theta_count", 1000))
+    count = args.theta_count or config.grids.get("theta_count", 1000)
     thetas = np.linspace(0.0, math.pi, count)
     terms = chi_squared_terms(state, thetas)
     columns = ["theta"] + [f"term_k{key}" for key in state.support] + ["chi2"]
@@ -363,7 +337,7 @@ def _write_orbits(args, config, path: Path) -> tuple[PawState, int]:
     """Sample the orbit family of the state (dense M = 170 by default) into path."""
     state = _resolve_state(args, config,
                            fallback=lambda: dense_family_state(args.m or 170))
-    samples = args.samples or int(config.grids.get("samples", 256))
+    samples = args.samples or config.grids.get("samples", 256)
     write_orbit_csv(orbit_table(state, samples=samples), path)
     print(f"wrote {path}")
     return state, samples
@@ -381,8 +355,8 @@ def cmd_chi2(args: argparse.Namespace) -> int:
 def cmd_conditional(args: argparse.Namespace) -> int:
     config = _load_config(args)
     state = _resolve_state(args, config)
-    log_tol = float(config.tolerances.get("log_chi", LOG_CHI_TOL))
-    cond = conditional_state(state, args.theta, args.phi, log_tol=log_tol)
+    cond = conditional_state(state, args.theta, args.phi,
+                             log_tol=config.tolerances.get("log_chi", LOG_CHI_TOL))
     print(f"theta = {args.theta:.12g}, phi = {args.phi:.12g}, "
           f"chi^2 = {cond.norm_chi2:.12g}")
     print(f"{'n':>6} {'re':>24} {'im':>24} {'prob':>22}")
@@ -483,7 +457,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     theta, phi = args.theta, args.phi
     try:
         cond = conditional_state(state, theta, phi,
-                                 log_tol=float(config.tolerances.get("log_chi", LOG_CHI_TOL)))
+                                 log_tol=config.tolerances.get("log_chi", LOG_CHI_TOL))
         norm = cond.norm()
         checks.append(_check("conditional_norm_unit", abs(norm - 1.0), 1e-12,
                              f"norm at theta={theta:.4f} is {norm:.15f}"))
@@ -546,7 +520,7 @@ def _figure_chi2_j3(args, config, out: Path) -> int:
 
 def _figure_chi2_largej(args, config, out: Path) -> int:
     j_list = args.j_list or (30, 120, 570)
-    count = args.theta_count or int(config.grids.get("theta_count", 2001))
+    count = args.theta_count or config.grids.get("theta_count", 2001)
     thetas = np.linspace(0.0, math.pi, count)
     columns = ["theta"] + [f"chi2_j{j}" for j in j_list]
     data = [thetas]
@@ -659,6 +633,19 @@ def _add_state_flags(parser: argparse.ArgumentParser, coeff_help: str | None = N
                         metavar="K=COMPLEX", help=coeff_help)
 
 
+def _add_settings_flag(parser: argparse.ArgumentParser, flag: str, section: str,
+                       help: str | None = None) -> None:
+    """The repeatable KEY=VALUE flag that overrides settings of ``section``."""
+    def parse(text: str) -> tuple[str, float | int]:
+        key, _, value = text.partition("=")
+        try:
+            return key.strip(), _setting(section, key.strip(), value)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    parser.add_argument(flag, dest=section, action="append", type=parse,
+                        metavar="KEY=VALUE", help=help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pawclock",
@@ -680,8 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chi2 = sub.add_parser("chi2", help="tabulate chi^2(theta)")
     _add_state_flags(p_chi2)
     p_chi2.add_argument("--theta-count", type=int, default=None)
-    p_chi2.add_argument("--grid", action="append", type=parse_grid,
-                        metavar="KEY=VALUE")
+    _add_settings_flag(p_chi2, "--grid", "grids")
     p_chi2.add_argument("--out", metavar="DIR")
     p_chi2.set_defaults(func=cmd_chi2)
 
@@ -689,8 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p_cond)
     p_cond.add_argument("--theta", type=float, required=True)
     p_cond.add_argument("--phi", type=float, default=0.0)
-    p_cond.add_argument("--tol", action="append", type=parse_tolerance,
-                        metavar="KEY=VALUE", help="e.g. log_chi=-690")
+    _add_settings_flag(p_cond, "--tol", "tolerances", help="e.g. log_chi=-690")
     p_cond.set_defaults(func=cmd_conditional)
 
     p_schro = sub.add_parser("schrodinger",
@@ -724,8 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--theta-count", type=int, default=None)
     p_fig.add_argument("--samples", type=int, default=None,
                        help="time samples per orbit for orbits-* figures")
-    p_fig.add_argument("--grid", action="append", type=parse_grid,
-                       metavar="KEY=VALUE",
+    _add_settings_flag(p_fig, "--grid", "grids",
                        help="override one grid parameter, e.g. q_count=801")
     p_fig.add_argument("--out", metavar="DIR")
     p_fig.set_defaults(func=cmd_figure)
@@ -733,8 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb = sub.add_parser("orbits", help="sample the classical orbit family")
     _add_state_flags(p_orb)
     p_orb.add_argument("--samples", type=int, default=None)
-    p_orb.add_argument("--grid", action="append", type=parse_grid,
-                       metavar="KEY=VALUE")
+    _add_settings_flag(p_orb, "--grid", "grids")
     p_orb.add_argument("--out", metavar="DIR")
     p_orb.set_defaults(func=cmd_orbits)
 
@@ -742,8 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p_verify)
     p_verify.add_argument("--theta", type=float, default=math.pi / 2)
     p_verify.add_argument("--phi", type=float, default=0.7)
-    p_verify.add_argument("--tol", action="append", type=parse_tolerance,
-                          metavar="KEY=VALUE")
+    _add_settings_flag(p_verify, "--tol", "tolerances")
     p_verify.add_argument("--tamper-shift-n", dest="tamper_shift_n", type=int,
                           default=0,
                           help="shift every Fock index by this amount before "
@@ -769,9 +751,6 @@ def main(argv: list[str] | None = None) -> int:
     except (UnsupportedIndex, ZeroState, NoOddOverEvenForm) as exc:
         print(f"error: state cannot be assembled: {exc}", file=sys.stderr)
         return 4
-    except (DegenerateTheta, EOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

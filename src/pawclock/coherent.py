@@ -5,8 +5,8 @@ both involve binomials and factorials far beyond float range (2J runs above
 1100 here), so amplitudes are carried as (natural-log magnitude, phase) and
 assembled with max-shifted exponential sums.  Pole values use the convention
 0 * log(0) = 0 so that extremal levels stay finite at theta = 0, pi.  The
-log Fock density log(e^{-u} u^n / n!) and log n! are computed here only, and
-every other module takes them from this one.
+log Fock density log(e^{-u} u^n / n!), log n! and the log-sum-exp are computed
+here only, and every other module takes them from this one.
 """
 
 from __future__ import annotations
@@ -133,6 +133,30 @@ def ln_binomial(n, k):
     n = np.asarray(n, dtype=float)
     k = np.asarray(k, dtype=float)
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (all axes if None) for real float64 input.
+
+    Bit for bit scipy.special.logsumexp (1.17) on real input: the terms equal
+    to the maximum are set apart, giving log1p(rest / count) + log(count) + max,
+    and where that is not finite the direct log(sum(exp(a))) is returned.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        peak = np.max(a, axis=axis, keepdims=True)
+        at_peak = a == peak
+        count = np.sum(at_peak, axis=axis, keepdims=True, dtype=float)
+        rest = np.sum(np.exp(np.where(at_peak, -np.inf, a) - peak),
+                      axis=axis, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + peak
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out,
+                           np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

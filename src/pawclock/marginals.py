@@ -34,9 +34,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
-from .coherent import _log_fock_density, gauss_legendre, ln_binomial, ln_factorial
+from .coherent import (_log_fock_density, gauss_legendre, ln_binomial, ln_factorial,
+                       logsumexp)
 from .pawstate import PawState
 from .table import write_table
 

@@ -25,9 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .coherent import scs_log_magnitude, sphere_quadrature
+from .coherent import logsumexp, scs_log_magnitude, sphere_quadrature
 from .constraints import (
     AllowedPair,
     ClockSpec,
@@ -120,10 +119,6 @@ class PawState:
     def omega(self) -> float:
         return self.oscillator.omega
 
-    @property
-    def hamiltonian(self) -> HamiltonianAction:
-        return HamiltonianAction(self.clock, self.oscillator)
-
     @cached_property
     def support(self) -> tuple[int, ...]:
         """Occupied clock ladder indices m+J, ascending."""
@@ -147,9 +142,6 @@ class PawState:
             if k == m_plus_j:
                 return c
         raise UnsupportedIndex(m_plus_j)
-
-    def coefficient_map(self) -> dict[int, complex]:
-        return dict(self.coefficients)
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -385,9 +377,12 @@ def conditional_state(state: PawState, theta: float, phi: float,
 
 
 def default_dphi(state: PawState) -> float:
-    """Finite-difference step resolving the fastest branch phase, eps*J*2J."""
-    fastest = state.clock.epsilon * (state.two_j / 2.0) * state.two_j
-    return 1e-3 * 2.0 * math.pi / fastest
+    """Finite-difference step 1e-2/k_max, k_max*phi the fastest branch phase.
+
+    Tied to 1/k_max alone, the step keeps the (k*dphi)^2 truncation error far
+    above the rounding in k*phi, which grows as 1/dphi, at every 2J.
+    """
+    return 1e-2 / max(state.support)
 
 
 def schrodinger_residual(state: PawState, theta: float, phi: float,

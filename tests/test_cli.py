@@ -131,6 +131,39 @@ def test_verify_reads_config_tolerance(tmp_path):
     assert norm["passed"] is True, norm
 
 
+MALFORMED_SETTINGS = {
+    "count-string": ({"grids": {"q_count": "x"}}, []),
+    "count-fraction": ({"grids": {"theta_count": 2.9}}, []),
+    "tolerance-string": ({"tolerances": {"log_chi": "abc"}}, []),
+    "tolerance-bool": ({"tolerances": {"log_chi": True}}, []),
+    "start-null": ({"grids": {"q_start": None}}, []),
+    "dphi-flag": ({}, ["--tol", "dphi=1e-6"]),
+}
+
+
+def test_settings_are_typed_by_one_table(tmp_path):
+    """Malformed settings exit 2, and a count is read alike in any integral form.
+
+    Each value of MALFORMED_SETTINGS exits 2 with an error line and no
+    traceback; q_count as "801" or 801.0 writes the CSV of --grid q_count=801.
+    """
+    path = tmp_path / "config.json"
+    for case, (config, flags) in MALFORMED_SETTINGS.items():
+        path.write_text(json.dumps(config))
+        result = run_cli("verify", *SPIN3, "--skip-beta", "--config", str(path), *flags)
+        assert result.returncode == 2, (case, result.stdout, result.stderr)
+        assert "error:" in result.stderr, case
+        assert "Traceback" not in result.stderr, case
+
+    args = ("figure", "marg-qt", "--m", "10", "--grid", "t_count=16")
+    run_cli(*args, "--grid", "q_count=801", "--out", str(tmp_path / "flag"), check=True)
+    expected = (tmp_path / "flag" / "marg-qt.csv").read_bytes()
+    for name, count in (("string", "801"), ("float", 801.0)):
+        path.write_text(json.dumps({"grids": {"q_count": count}}))
+        run_cli(*args, "--config", str(path), "--out", str(tmp_path / name), check=True)
+        assert (tmp_path / name / "marg-qt.csv").read_bytes() == expected, name
+
+
 @pytest.mark.parametrize("command", [
     ["build"], ["chi2"], ["conditional", "--theta", "1"], ["schrodinger"],
     ["beta", "--theta", "1"], ["figure", "marg-pq"], ["orbits"], ["verify"]])

@@ -7,6 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import comb, roots_laguerre
 from scipy.stats import poisson
 
@@ -20,6 +24,7 @@ from pawclock.coherent import (
     hcs_overlap,
     ln_binomial,
     ln_factorial,
+    logsumexp,
     plane_measure_weight,
     scs_log_magnitude,
     scs_overlap,
@@ -204,12 +209,68 @@ def test_fock_cutoff_covers_poisson_tail():
         assert poisson.sf(cutoff - 1, u) < 1e-12
 
 
+@st.composite
+def logsumexp_inputs(draw):
+    """Arrays of up to 64 x 8 terms at scales up to 1e3.
+
+    They hold ties (repeated values), NaN, +-inf, and whole rows and columns
+    at -inf.
+    """
+    rows, cols = draw(st.integers(1, 64)), draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1e-3, 1.0, 40.0, 1e3]))
+    unit = st.floats(-1.0, 1.0) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    a = draw(hnp.arrays(float, (rows, cols), elements=unit)) * scale
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for cell, value in draw(st.lists(st.tuples(cells, st.sampled_from(
+            [-np.inf, np.inf, np.nan])), max_size=3)):
+        a[cell] = value
+    for row in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        a[row] = -np.inf
+    for col in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        a[:, col] = -np.inf
+    return a
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(a=logsumexp_inputs(), axis=st.sampled_from([None, 0, 1, -1]))
+def test_logsumexp_is_bitwise_scipy(a, axis):
+    ours = logsumexp(a, axis=axis)
+    theirs = scipy.special.logsumexp(a, axis=axis)
+    assert type(ours) is type(theirs)
+    assert np.shape(ours) == np.shape(theirs)
+    assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+
+
+def _module_trees():
+    for path in sorted((Path(__file__).parents[1] / "src" / "pawclock").glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_logsumexp_lives_only_in_coherent():
+    """coherent.logsumexp is the one log-sum-exp in the package.
+
+    No other module defines one, imports one from elsewhere, or reaches one
+    through a module attribute.
+    """
+    definitions = []
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "logsumexp":
+                definitions.append(name)
+            elif isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "logsumexp" for alias in node.names):
+                assert (node.level, node.module) == (1, "coherent"), \
+                    f"{name} imports logsumexp from {node.module}"
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "logsumexp", f"{name} calls {ast.unparse(node)}"
+    assert definitions == ["coherent.py"]
+
+
 def test_fock_algebra_lives_only_in_coherent():
     """log n! and the log Fock density are computed in coherent.py and nowhere else."""
     log_gammas = {"gammaln", "loggamma", "lgamma"}
     fock_kernels = set()
-    for path in sorted((Path(__file__).parents[1] / "src" / "pawclock").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in _module_trees():
         names = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.alias):
@@ -219,7 +280,7 @@ def test_fock_algebra_lives_only_in_coherent():
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.FunctionDef) and "fock_density" in node.name:
-                fock_kernels.add((path.name, node.name))
-        if path.name != "coherent.py":
-            assert not names & log_gammas, f"{path.name} computes a log-Gamma itself"
+                fock_kernels.add((module, node.name))
+        if module != "coherent.py":
+            assert not names & log_gammas, f"{module} computes a log-Gamma itself"
     assert fock_kernels == {("coherent.py", "_log_fock_density")}

@@ -22,7 +22,6 @@ from pawclock.pawstate import (
     chi_squared_integral,
     chi_squared_terms,
     conditional_state,
-    default_dphi,
     dense_family_state,
     large_j_pair_state,
     load_state,
@@ -256,10 +255,21 @@ def test_schrodinger_residual_second_order():
         assert r0 / r1 == pytest.approx(4.0, rel=1e-3)
 
 
-def test_default_dphi_scales_with_fastest_phase():
-    state = spin3_pair_state()
-    fastest = state.clock.epsilon * state.clock.j * state.two_j
-    assert default_dphi(state) == pytest.approx(1e-3 * 2.0 * math.pi / fastest)
+def test_default_dphi_keeps_order_two_at_every_size():
+    """At the verify reading the default step fits order 2 +- 0.1 on every ladder size.
+
+    Every dense M in 2..170 and large-J J = 30, 120, 570: a step that shrinks
+    too fast with 2J reaches the regime where rounding in k*phi swamps the
+    dphi^2 error, and the order collapses only at the large sizes.
+    """
+    states = {f"dense M={m}": dense_family_state(m) for m in range(2, 171)}
+    states.update({f"large-J J={j}": large_j_pair_state(j) for j in (30, 120, 570)})
+    off = {}
+    for name, state in states.items():
+        order = schrodinger_order_study(state, math.pi / 2.0, 0.7).order
+        if abs(order - 2.0) > 0.1:
+            off[name] = order
+    assert not off, off
 
 
 def test_schrodinger_residual_huge_spin():
