@@ -109,26 +109,24 @@ def beta_amplitude(state: PawState, point: SphereCoordinate,
     return LogAmplitude(peak + math.log(abs(total)), cmath.phase(total))
 
 
-def _branch_norms(state: PawState, theta_order: int | None = None,
-                  radial_order: int | None = None) -> np.ndarray:
+def _branch_norms(state: PawState) -> np.ndarray:
     """Per-branch S_m * R_m, each factor 1 by a resolution of identity.
 
     S_m is the Gauss-Legendre sphere quadrature of |<Omega|J, k_m>|^2 and R_m
     the radial integral of |<alpha|n_m>|^2 over u = M|alpha|^2, which is the
-    Gamma(n + 1) density u^n e^-u / n!. R_m uses radial_order Gauss-Legendre
-    nodes (256 by default) on n +- (12*sqrt(n) + 30), clipped at u = 0. Both
-    are folded in log space, so neither factor overflows at 2J ~ 1100 or
-    n ~ 4000; the deviation of S_m * R_m from 1 is the quadrature error of
-    branch m.
+    Gamma(n + 1) density u^n e^-u / n!. R_m uses 256 Gauss-Legendre nodes on
+    n +- (12*sqrt(n) + 30), clipped at u = 0. Both are folded in log space, so
+    neither factor overflows at 2J ~ 1100 or n ~ 4000; the deviation of
+    S_m * R_m from 1 is the quadrature error of branch m.
     """
     k = np.array(state.support, dtype=float)
     n = np.array(state.n_values, dtype=float)
 
-    thetas, w_sphere = sphere_quadrature(state.two_j, theta_order)
+    thetas, w_sphere = sphere_quadrature(state.two_j)
     log_s = logsumexp(2.0 * scs_log_magnitude(thetas[:, None], state.two_j, k)
                       + np.log(w_sphere)[:, None], axis=0)
 
-    x, w = gauss_legendre(256 if radial_order is None else radial_order)
+    x, w = gauss_legendre(256)
     reach = 12.0 * np.sqrt(n) + 30.0
     low = np.maximum(0.0, n - reach)
     half_width = 0.5 * (n + reach - low)
@@ -138,19 +136,17 @@ def _branch_norms(state: PawState, theta_order: int | None = None,
     return np.exp(log_s + log_r)
 
 
-def beta_double_integral(state: PawState, theta_order: int | None = None,
-                         radial_order: int | None = None) -> float:
+def beta_double_integral(state: PawState) -> float:
     """Quadrature of |beta|^2 over both coherent-state measures; 1 for any state.
 
     The azimuthal integrals over phi and arg(alpha) of the cross term between
     branches m and m' give Kronecker deltas in k and in n, so only the
     diagonal survives: the integral is sum_m |c_m|^2 * S_m * R_m, with the
     per-branch sphere and radial factors of ``_branch_norms``. Time and
-    memory are O(N * order).
+    memory are O(N) per quadrature node.
     """
     c = state.amplitudes
-    return float(np.sum((c.conj() * c).real * _branch_norms(state, theta_order,
-                                                              radial_order)))
+    return float(np.sum((c.conj() * c).real * _branch_norms(state)))
 
 
 def stationary_residual(state: PawState, theta_peak: float, phi: float) -> float:

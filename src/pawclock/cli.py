@@ -98,7 +98,8 @@ def _setting(section: str, key: str, value):
     """``value`` as the type of setting ``key`` in ``section``, else ConfigError.
 
     A string is parsed; a number is taken if the type holds it exactly (801.0
-    is the count 801, 2.9 is no count).
+    is the count 801, 2.9 is no count).  Every integer setting is a count and
+    must be at least 1.
     """
     kinds = _SETTINGS[section]
     if key not in kinds:
@@ -107,12 +108,16 @@ def _setting(section: str, key: str, value):
     kind = kinds[key]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
-        if isinstance(value, str) or number and kind(value) == value:
-            return kind(value)
+        exact = isinstance(value, str) or number and kind(value) == value
+        result = kind(value) if exact else None
     except (ValueError, OverflowError):
-        pass
-    expected = "an integer" if kind is int else "a number"
-    raise ConfigError(f"{section} setting {key}={value!r} is not {expected}")
+        result = None
+    if result is None:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section} setting {key}={value!r} is not {expected}")
+    if kind is int and result < 1:
+        raise ConfigError(f"{section} setting {key}={value!r} is not a positive count")
+    return result
 
 
 @dataclass
@@ -325,7 +330,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _write_chi2(args, config, path: Path) -> tuple[PawState, list[str], int]:
     """Tabulate theta, the per-branch terms of chi^2 and their sum into path."""
     state = _resolve_state(args, config)
-    count = args.theta_count or config.grids.get("theta_count", 1000)
+    count = config.grids.get("theta_count", 1000)
     thetas = np.linspace(0.0, math.pi, count)
     terms = chi_squared_terms(state, thetas)
     columns = ["theta"] + [f"term_k{key}" for key in state.support] + ["chi2"]
@@ -337,7 +342,7 @@ def _write_orbits(args, config, path: Path) -> tuple[PawState, int]:
     """Sample the orbit family of the state (dense M = 170 by default) into path."""
     state = _resolve_state(args, config,
                            fallback=lambda: dense_family_state(args.m or 170))
-    samples = args.samples or config.grids.get("samples", 256)
+    samples = config.grids.get("samples", 256)
     write_orbit_csv(orbit_table(state, samples=samples), path)
     print(f"wrote {path}")
     return state, samples
@@ -520,7 +525,7 @@ def _figure_chi2_j3(args, config, out: Path) -> int:
 
 def _figure_chi2_largej(args, config, out: Path) -> int:
     j_list = args.j_list or (30, 120, 570)
-    count = args.theta_count or config.grids.get("theta_count", 2001)
+    count = config.grids.get("theta_count", 2001)
     thetas = np.linspace(0.0, math.pi, count)
     columns = ["theta"] + [f"chi2_j{j}" for j in j_list]
     data = [thetas]
@@ -634,16 +639,20 @@ def _add_state_flags(parser: argparse.ArgumentParser, coeff_help: str | None = N
 
 
 def _add_settings_flag(parser: argparse.ArgumentParser, flag: str, section: str,
-                       help: str | None = None) -> None:
-    """The repeatable KEY=VALUE flag that overrides settings of ``section``."""
+                       key: str | None = None, help: str | None = None) -> None:
+    """The repeatable KEY=VALUE flag that overrides settings of ``section``.
+
+    With ``key`` the flag takes a bare VALUE for that one setting, so
+    ``--theta-count 64`` is ``--grid theta_count=64``; the last one given wins.
+    """
     def parse(text: str) -> tuple[str, float | int]:
-        key, _, value = text.partition("=")
+        name, _, value = (key, "=", text) if key else text.partition("=")
         try:
-            return key.strip(), _setting(section, key.strip(), value)
+            return name.strip(), _setting(section, name.strip(), value)
         except ConfigError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     parser.add_argument(flag, dest=section, action="append", type=parse,
-                        metavar="KEY=VALUE", help=help)
+                        metavar=key.upper() if key else "KEY=VALUE", help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -666,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chi2 = sub.add_parser("chi2", help="tabulate chi^2(theta)")
     _add_state_flags(p_chi2)
-    p_chi2.add_argument("--theta-count", type=int, default=None)
+    _add_settings_flag(p_chi2, "--theta-count", "grids", key="theta_count")
     _add_settings_flag(p_chi2, "--grid", "grids")
     p_chi2.add_argument("--out", metavar="DIR")
     p_chi2.set_defaults(func=cmd_chi2)
@@ -706,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--j-list", dest="j_list", type=parse_int_list,
                        default=None, metavar="J1,J2,...",
                        help="spin values for chi2-largeJ (default 30,120,570)")
-    p_fig.add_argument("--theta-count", type=int, default=None)
-    p_fig.add_argument("--samples", type=int, default=None,
+    _add_settings_flag(p_fig, "--theta-count", "grids", key="theta_count")
+    _add_settings_flag(p_fig, "--samples", "grids", key="samples",
                        help="time samples per orbit for orbits-* figures")
     _add_settings_flag(p_fig, "--grid", "grids",
                        help="override one grid parameter, e.g. q_count=801")
@@ -716,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orb = sub.add_parser("orbits", help="sample the classical orbit family")
     _add_state_flags(p_orb)
-    p_orb.add_argument("--samples", type=int, default=None)
+    _add_settings_flag(p_orb, "--samples", "grids", key="samples")
     _add_settings_flag(p_orb, "--grid", "grids")
     p_orb.add_argument("--out", metavar="DIR")
     p_orb.set_defaults(func=cmd_orbits)

@@ -254,19 +254,17 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(*leggauss(order))
 
 
-def sphere_quadrature(two_j: int, order: int | None = None):
+def sphere_quadrature(two_j: int):
     """Nodes and weights integrating azimuth-independent f over the sphere measure.
 
-    Gauss-Legendre in cos(theta); sum(w_i * f(theta_i)) equals
-    integral d(mu)(Omega) f(theta) exactly for f polynomial in cos(theta)
-    up to degree 2*order - 1, which covers every overlap-squared at spin J
-    once order > J.
+    Gauss-Legendre in cos(theta) with order = max(256, 2J // 2 + 2) nodes;
+    sum(w_i * f(theta_i)) equals integral d(mu)(Omega) f(theta) exactly for f
+    polynomial in cos(theta) up to degree 2*order - 1 > 2J, which covers every
+    overlap-squared at spin J.
 
     Returns (theta_nodes, weights).
     """
-    if order is None:
-        order = max(256, two_j // 2 + 2)
-    x, w = gauss_legendre(order)
+    x, w = gauss_legendre(max(256, two_j // 2 + 2))
     return np.arccos(x), (two_j + 1) / 2.0 * w
 
 

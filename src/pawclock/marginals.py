@@ -10,16 +10,16 @@ Three marginals of the joint clock-oscillator density are supported:
   is static while branch pairs contribute an oscillating interference term
   whose amplitude dies with both the clock and oscillator sizes.
 
-Everything is evaluated at finite (J, M) in log space.  Integrals use
-Gauss-Legendre nodes, so the binomial energy integrands (polynomials in
-e/(2*kappa)) are integrated exactly.
+Everything is evaluated at finite (J, M) in log space.  The energy integral
+of a branch pair is a Beta function, so its overlap is the closed form
+sqrt(binom(2J, k_i) binom(2J, k_j)) / binom(2J, (k_i + k_j)/2); momentum
+integrals use Gauss-Legendre nodes.
 
 The space-time marginal costs one Gram product per Q row instead of one grid
 sweep per branch pair.  With g_n(P) = sqrt(f_n(u)) e^{-i n arctan2(P, Q)} for
 the Fock density f_n, every momentum-integrated branch product of the row is
 an entry of C = (conj(g) w) @ g^T: the diagonal gives the static profile, the
-off-diagonal entries the interference.  Energy overlaps need one log-sum-exp
-per distinct midpoint (k_i + k_j)/2, and the kept pairs are summed per beat
+off-diagonal entries the interference.  The kept pairs are summed per beat
 d = k_i - k_j before the time axis is applied, so the (Q, t) grid is one
 product of a (Q x beats) and a (beats x t) matrix.
 """
@@ -92,9 +92,12 @@ class GridAxis:
 
     def __post_init__(self) -> None:
         if self.count < 2:
-            raise ValueError("an axis needs at least two samples")
-        if not self.stop > self.start:
-            raise ValueError("stop must exceed start")
+            raise ConfigError(f"axis {self.name} needs at least two samples, "
+                              f"got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)
+                and self.stop > self.start):
+            raise ConfigError(f"axis {self.name} needs finite start < stop, got "
+                              f"{self.start} and {self.stop}")
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -258,15 +261,24 @@ def marginal_energy_time(state: PawState,
 # space-time marginal and interference
 # ---------------------------------------------------------------------------
 
+def _log_clock_overlap(two_j: int, k1, k2):
+    """log of sqrt(binom(2J,k1) binom(2J,k2)) / binom(2J,(k1+k2)/2); scalar or array.
+
+    The cross-term energy integral (2J+1) int_0^1 x^h (1-x)^{2J-h} dx at the
+    midpoint h = (k1+k2)/2 is the Beta function 1/binom(2J, h), so this is
+    exactly the energy overlap of the pair relative to the diagonal terms.
+    """
+    return (0.5 * ln_binomial(two_j, k1) + 0.5 * ln_binomial(two_j, k2)
+            - ln_binomial(two_j, 0.5 * (k1 + k2)))
+
+
 def clock_interference_factor(two_j: int, k1: int, k2: int) -> float:
     """sqrt(binom(2J,k1) binom(2J,k2)) / binom(2J,(k1+k2)/2); 1 on the diagonal.
 
     This is exactly the energy integral of the cross term relative to the
     diagonal one, and it vanishes rapidly as the branches separate or J grows.
     """
-    half = 0.5 * (k1 + k2)
-    return float(np.exp(0.5 * ln_binomial(two_j, k1) + 0.5 * ln_binomial(two_j, k2)
-                        - ln_binomial(two_j, half)))
+    return float(np.exp(_log_clock_overlap(two_j, k1, k2)))
 
 
 def oscillator_interference_factor(n1: int, n2: int) -> float:
@@ -309,33 +321,13 @@ def _momentum_quadrature(state: PawState, order: int) -> tuple[np.ndarray, np.nd
     return reach * nodes, reach * weights
 
 
-def _pair_energy_overlap(state: PawState, k1, k2, order: int):
-    """log of the cross-term energy integral (2J+1) int_0^1 dx of the half-sum binomial.
-
-    Scalar or array ladder indices.  The log factors as
-    (ln binom(2J, k1) + ln binom(2J, k2))/2 + L((k1 + k2)/2), so one
-    log-sum-exp per distinct midpoint covers every pair.
-    """
-    two_j = state.two_j
-    nodes, weights = gauss_legendre(order)
-    x = 0.5 * (nodes + 1.0)
-    log_w = np.log(0.5 * weights)
-    half = 0.5 * (np.asarray(k1, dtype=float) + np.asarray(k2, dtype=float))
-    midpoints, where = np.unique(half, return_inverse=True)
-    midpoints = midpoints[:, None]
-    log_mid = logsumexp(xlogy(two_j - midpoints, 1.0 - x) + xlogy(midpoints, x) + log_w,
-                        axis=1)
-    return (0.5 * (ln_binomial(two_j, k1) + ln_binomial(two_j, k2))
-            + log_mid[where].reshape(half.shape) + math.log(two_j + 1))
-
-
 @dataclass(frozen=True)
 class _BeatPairs:
     """Branch pairs i < j whose interference survives the amplitude cut.
 
     Sorted by beat d = k_i - k_j; pairs sharing ``beats[b]`` start at
     ``starts[b]``.  ``coefficient`` is 2|c_i||c_j| A_ij e^{-i(gamma_i - gamma_j)},
-    A_ij the energy overlap of the pair.
+    A_ij the energy overlap ``_log_clock_overlap`` of the pair.
     """
 
     first: np.ndarray
@@ -345,14 +337,14 @@ class _BeatPairs:
     beats: np.ndarray
 
 
-def _beat_pairs(state: PawState, e_order: int) -> _BeatPairs:
+def _beat_pairs(state: PawState) -> _BeatPairs:
     """Pairs whose amplitude 2|c_i||c_j| A_ij can reach 1e-300 (log > -700)."""
     k = np.array(state.support)
     first, second = np.triu_indices(k.size, 1)
     moduli = np.abs(state.amplitudes)
     gammas = np.angle(state.amplitudes)
     log_amp = (np.log(2.0 * moduli[first] * moduli[second])
-               + _pair_energy_overlap(state, k[first], k[second], e_order))
+               + _log_clock_overlap(state.two_j, k[first], k[second]))
     keep = log_amp > -700.0
     beat = k[first[keep]] - k[second[keep]]
     order = np.argsort(beat, kind="stable")
@@ -437,13 +429,12 @@ def space_time_diagonal(state: PawState, q_values, p_order: int = 400) -> np.nda
 
 def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
                         t_axis: GridAxis | None = None, p_order: int = 400,
-                        e_order: int | None = None,
                         ) -> tuple[DistributionGrid, InterferenceReport]:
     """Space-time marginal D(Q, t) with its diagonal/interference split.
 
     At each (Q, t) the joint density is integrated over the energy range
     [0, 2*kappa] and over all momenta.  The energy integral of each branch
-    pair is a degree-2J polynomial, integrated exactly by Gauss-Legendre;
+    pair is a Beta function, taken in closed form (``_log_clock_overlap``);
     the momentum integral uses ``p_order`` nodes over the occupied support.
     Branch pairs whose interference amplitude cannot reach 1e-300 are skipped.
     Kept pairs are summed per beat frequency before the time axis is applied.
@@ -455,8 +446,6 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
         q_axis = default_phase_space_axes()[0]
     if t_axis is None:
         t_axis = default_time_axis(state)
-    if e_order is None:
-        e_order = state.two_j // 2 + 2
 
     q_values = q_axis.values
     p_nodes, p_weights = _momentum_quadrature(state, p_order)
@@ -465,7 +454,7 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
     plane_norm = state.mass / (2.0 * math.pi)
     moduli = np.abs(state.amplitudes)
 
-    pairs = _beat_pairs(state, e_order)
+    pairs = _beat_pairs(state)
     branch, beat = _space_time_rows(state, q_values, p_nodes, p_weights, pairs)
     diagonal = plane_norm * (branch @ moduli ** 2)
     phases = np.exp(1j * np.outer(pairs.beats * epsilon, t_axis.values))

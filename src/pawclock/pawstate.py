@@ -310,9 +310,9 @@ def chi_squared_terms(state: PawState, theta):
     return np.exp(2.0 * lm + state._log_weights)
 
 
-def chi_squared_integral(state: PawState, order: int | None = None) -> float:
+def chi_squared_integral(state: PawState) -> float:
     """Integral of chi^2 over the clock sphere measure; 1 for any valid state."""
-    thetas, weights = sphere_quadrature(state.two_j, order)
+    thetas, weights = sphere_quadrature(state.two_j)
     return float(np.sum(weights * chi_squared(state, thetas)))
 
 

@@ -26,8 +26,7 @@ def phase_deltas(indices: np.ndarray, count: int) -> np.ndarray:
     return np.mean(np.exp(-1j * spacing[:, :, None] * angles), axis=-1)
 
 
-def beta_double_integral(state: PawState, theta_order: int | None = None,
-                         radial_order: int | None = None) -> float:
+def beta_double_integral(state: PawState) -> float:
     """Quadrature of |beta|^2 over both coherent-state measures; 1 for any state.
 
     The 4D integral factorizes over the quadrature grid: Gauss-Legendre in
@@ -39,14 +38,12 @@ def beta_double_integral(state: PawState, theta_order: int | None = None,
     n = np.array(state.n_values, dtype=float)
     c = state.amplitudes
 
-    thetas, w_sphere = sphere_quadrature(state.two_j, theta_order)
+    thetas, w_sphere = sphere_quadrature(state.two_j)
     log_c_fold = (scs_log_magnitude(thetas[:, None], state.two_j, k[None, :])
                   + 0.5 * np.log(w_sphere)[:, None])
     log_sc = logsumexp(log_c_fold[:, :, None] + log_c_fold[:, None, :], axis=0)
 
-    if radial_order is None:
-        radial_order = int(max(n)) + 40
-    u_nodes, u_weights = roots_laguerre(radial_order)
+    u_nodes, u_weights = roots_laguerre(int(max(n)) + 40)
     keep = u_weights > 0.0
     u_nodes, u_weights = u_nodes[keep], u_weights[keep]
     log_r_fold = (0.5 * xlogy(n[None, :], u_nodes[:, None])

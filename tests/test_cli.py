@@ -164,6 +164,43 @@ def test_settings_are_typed_by_one_table(tmp_path):
         assert (tmp_path / name / "marg-qt.csv").read_bytes() == expected, name
 
 
+BAD_COUNTS_AND_AXES = {
+    "grid theta_count=0": ["figure", "chi2-j3", "--grid", "theta_count=0"],
+    "grid theta_count=-3": ["figure", "chi2-j3", "--grid", "theta_count=-3"],
+    "grid q_count=1": ["figure", "marg-pq", "--grid", "q_count=1"],
+    "grid t_count=1": ["figure", "marg-qt", "--m", "10", "--grid", "t_count=1"],
+    "grid e_stop=-1": ["figure", "marg-et", "--grid", "e_stop=-1"],
+    "grid q_stop=inf": ["figure", "marg-pq", "--grid", "q_stop=inf"],
+    "chi2 --theta-count 0": ["chi2", "--theta-count", "0"],
+    "figure --theta-count 0": ["figure", "chi2-largeJ", "--theta-count", "0"],
+    "orbits --samples 0": ["orbits", "--m", "4", "--samples", "0"],
+    "figure --samples -1": ["figure", "orbits-pq", "--m", "4", "--samples", "-1"],
+    "config samples 0": ["orbits", "--m", "4", "--config", "{config}"],
+}
+
+
+def test_counts_and_axes_are_validated(tmp_path):
+    """Every count is at least 1 and every axis has two samples and finite start < stop.
+
+    Each case of BAD_COUNTS_AND_AXES exits 2 with an error line, no traceback
+    and no CSV; a count of 1 where one sample is meaningful is accepted.
+    """
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grids": {"samples": 0}}))
+    for case, argv in BAD_COUNTS_AND_AXES.items():
+        out = tmp_path / case.replace(" ", "_")
+        argv = [arg.format(config=config) for arg in argv]
+        result = run_cli(*argv, "--out", str(out))
+        assert result.returncode == 2, (case, result.stdout, result.stderr)
+        assert "error:" in result.stderr, case
+        assert "Traceback" not in result.stderr, case
+        assert not list(out.glob("*.csv")), case
+
+    run_cli("chi2", "--theta-count", "1", "--out", str(tmp_path / "one"), check=True)
+    rows = (tmp_path / "one" / "chi2.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,"), rows
+
+
 @pytest.mark.parametrize("command", [
     ["build"], ["chi2"], ["conditional", "--theta", "1"], ["schrodinger"],
     ["beta", "--theta", "1"], ["figure", "marg-pq"], ["orbits"], ["verify"]])

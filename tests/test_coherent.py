@@ -5,10 +5,11 @@ import cmath
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import comb, roots_laguerre
@@ -112,6 +113,64 @@ def test_scs_log_magnitude_survives_extreme_spin():
     direct = ln_binomial(1140, 570) + 1140 * math.log(0.5)
     assert math.isfinite(value)
     assert value == pytest.approx(direct, rel=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+def mp_ln_binomial(n, k):
+    return mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+
+
+@st.composite
+def spin_readings(draw):
+    two_j = draw(st.integers(1, 1140))
+    return two_j, draw(st.integers(0, two_j)), draw(st.floats(1e-6, math.pi - 1e-6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=spin_readings())
+@example(case=(1140, 570, math.pi / 2.0))
+@example(case=(1140, 0, math.pi - 1e-6))  # cos(theta/2) ~ 5e-7 to the 1140th power
+@example(case=(1140, 1140, 1e-6))
+@example(case=(1139, 3, 0.1))
+def test_scs_log_magnitude_matches_mpmath(case):
+    """ln binom(2J,k)/2 + (2J-k) ln cos(theta/2) + k ln sin(theta/2) against a
+    50-digit oracle at the same float theta, within 4 ulps of the summed term
+    magnitudes (ln binom is a difference of log-Gammas up to ln (2J+1)!)."""
+    two_j, k, theta = case
+    with mpmath.workdps(50):
+        half = mpmath.mpf(theta) / 2
+        log_cos, log_sin = mpmath.log(mpmath.cos(half)), mpmath.log(mpmath.sin(half))
+        exact = mp_ln_binomial(two_j, k) / 2 + (two_j - k) * log_cos + k * log_sin
+        scale = (mpmath.loggamma(two_j + 2) + (two_j - k) * abs(log_cos)
+                 + k * abs(log_sin))
+    error = abs(float(scs_log_magnitude(theta, two_j, k)) - float(exact))
+    assert error <= 4.0 * EPS * float(scale)
+
+
+@st.composite
+def fock_readings(draw):
+    n = draw(st.integers(0, 4000))
+    near_peak = st.floats(0.8, 1.2).map(lambda r: r * max(n, 1))
+    return n, draw(st.floats(1e-3, 8000.0) | near_peak)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=fock_readings())
+@example(case=(4000, 4000.0))
+@example(case=(4000, 1e-3))
+@example(case=(0, 8000.0))
+def test_hcs_log_magnitude_matches_mpmath(case):
+    """(n ln u - u - ln n!)/2 against a 50-digit oracle, within 4 ulps of the
+    summed term magnitudes."""
+    n, u = case
+    with mpmath.workdps(50):
+        log_u, log_factorial = mpmath.log(mpmath.mpf(u)), mpmath.loggamma(n + 1)
+        exact = (n * log_u - u - log_factorial) / 2
+        scale = n * abs(log_u) + u + log_factorial
+    error = abs(float(hcs_log_magnitude(u, n)) - float(exact))
+    assert error <= 4.0 * EPS * float(scale)
 
 
 def test_sphere_quadrature_integrates_each_level_to_one():

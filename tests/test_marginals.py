@@ -3,8 +3,11 @@
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from pawclock.classical import theta_of_energy
@@ -14,7 +17,7 @@ from pawclock.marginals import (
     EOutOfRange,
     GridAxis,
     InterferenceReport,
-    _pair_energy_overlap,
+    _log_clock_overlap,
     _pool_size,
     _worker_count,
     classical_limit_section,
@@ -36,6 +39,7 @@ from pawclock.pawstate import (
     dense_family_state,
     spin3_pair_state,
 )
+from reference_space_time import _pair_energy_overlap
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +211,9 @@ def test_interference_suppression_report():
 
 
 def test_pair_energy_overlap_equals_interference_factor():
-    """The quadrature of the cross-term energy integral is the Beta function
-    identity behind clock_interference_factor; both paths must agree."""
+    """The Gauss-Legendre quadrature of the cross-term energy integral, kept in
+    the test oracle, agrees with the Beta-function closed form of
+    clock_interference_factor."""
     for two_j, k1, k2 in ((6, 2, 6), (12, 5, 9), (510, 171, 341)):
         state_order = two_j // 2 + 2
         log_a = _pair_energy_overlap(balanced_like(two_j, k1, k2), k1, k2,
@@ -224,6 +229,34 @@ def balanced_like(two_j, k1, k2):
     if two_j == 510:
         return balanced_two_level_state(170)
     return dense_family_state(two_j // 3)
+
+
+def mp_ln_binomial(n, k):
+    return mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+
+
+@st.composite
+def ladder_pairs(draw):
+    two_j = draw(st.integers(1, 1140))
+    return two_j, draw(st.integers(0, two_j)), draw(st.integers(0, two_j))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=ladder_pairs())
+@example(case=(1140, 0, 1140))  # extreme branches
+@example(case=(1140, 1, 1139))  # below the e^-700 amplitude cut
+@example(case=(1140, 570, 571))  # half-integer midpoint at the centre
+@example(case=(1139, 0, 1138))  # half-integer J
+def test_clock_overlap_matches_mpmath(case):
+    """log A = ln binom(2J,k1)/2 + ln binom(2J,k2)/2 - ln binom(2J,(k1+k2)/2)
+    against a 50-digit oracle, within 4 ulps of ln (2J+1)!, the largest
+    log-Gamma the closed form subtracts."""
+    two_j, k1, k2 = case
+    with mpmath.workdps(50):
+        exact = (mp_ln_binomial(two_j, k1) / 2 + mp_ln_binomial(two_j, k2) / 2
+                 - mp_ln_binomial(two_j, mpmath.mpf(k1 + k2) / 2))
+        bound = 4.0 * np.finfo(float).eps * float(mpmath.loggamma(two_j + 2))
+    assert abs(float(_log_clock_overlap(two_j, k1, k2)) - float(exact)) <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pawclock.constraints import ClockSpec, OscillatorSpec
+from pawclock.constraints import ClockSpec, OscillatorSpec, enumerate_pairs, reduce_ratio
 from pawclock.pawstate import (
     DegenerateTheta,
     HamiltonianAction,
@@ -321,6 +323,37 @@ def test_state_document_round_trip(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == doc
+
+
+@st.composite
+def admissible_states(draw):
+    """Random states on 2..8 allowed branches of a random odd/even ratio, 2J <= 1140."""
+    i_m = draw(st.integers(1, 8))
+    i_n = draw(st.integers(0, 8).filter(lambda i: math.gcd(2 * i + 1, 2 * i_m) == 1))
+    ratio = Fraction(2 * i_n + 1, 2 * i_m)
+    two_j = draw(st.integers(3 * i_m, 1140))
+    family = enumerate_pairs(reduce_ratio(ratio), two_j)
+    pairs = draw(st.lists(st.sampled_from(family.pairs), min_size=2, max_size=8,
+                          unique=True))
+    coefficient = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                     allow_infinity=False).filter(lambda c: abs(c) > 1e-3)
+    coefficients = {pair.m_plus_j: draw(coefficient) for pair in pairs}
+    return assemble_state(two_j=two_j, mass=draw(st.integers(1, 500)),
+                          eps_over_omega=ratio, coefficients=coefficients)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(state=admissible_states())
+def test_state_document_round_trips(state):
+    """state_from_dict(state_to_dict(s)) keeps the support, the Fock levels and
+    the amplitudes; rebuilding renormalizes a unit vector, so amplitudes may
+    move by a few ulps."""
+    again = state_from_dict(json.loads(json.dumps(state_to_dict(state))))
+    assert again.support == state.support
+    assert again.n_values == state.n_values
+    assert (again.two_j, again.mass) == (state.two_j, state.mass)
+    assert again.ratios == state.ratios
+    np.testing.assert_allclose(again.amplitudes, state.amplitudes, rtol=1e-15, atol=0.0)
 
 
 def test_state_document_rejects_unknown_and_missing_keys():

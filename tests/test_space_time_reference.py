@@ -62,7 +62,7 @@ def test_space_time_amplitude_cut_drops_pairs_like_reference():
 
     assert log_amplitude(0, 1) > -650.0
     assert log_amplitude(0, 2) < -740.0 and log_amplitude(1, 2) < -740.0
-    pairs = _beat_pairs(state, state.two_j // 2 + 2)
+    pairs = _beat_pairs(state)
     assert list(zip(pairs.first, pairs.second)) == [(0, 1)]
     assert_matches_reference(state, Q_AXIS, GridAxis("t", 0.0, 0.05, 5))
 
