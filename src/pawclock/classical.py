@@ -22,9 +22,10 @@ from .coherent import (
     SphereCoordinate,
     _log_fock_density,
     gauss_legendre,
-    hcs_log_magnitude,
+    hcs_overlap,
     logsumexp,
     scs_log_magnitude,
+    scs_overlap,
     sphere_quadrature,
 )
 from .constraints import ClockSpec, OscillatorSpec
@@ -90,16 +91,13 @@ def beta_amplitude(state: PawState, point: SphereCoordinate,
     Branches are combined by a max-shifted complex sum of log-magnitude terms,
     so the result is faithful even when every branch underflows a float.
     """
-    u = state.mass * (alpha.real ** 2 + alpha.imag ** 2)
-    arg_alpha = cmath.phase(alpha) if alpha != 0 else 0.0
     logs = np.empty(len(state.support))
     phases = np.empty(len(state.support))
     for i, (k, c) in enumerate(state.coefficients):
-        n = state.n_values[i]
-        logs[i] = (math.log(abs(c))
-                   + float(scs_log_magnitude(point.theta, state.two_j, k))
-                   + float(hcs_log_magnitude(u, n)))
-        phases[i] = cmath.phase(c) - k * point.phi - n * arg_alpha
+        clock = scs_overlap(point, state.two_j, k)
+        oscillator = hcs_overlap(alpha, state.mass, state.n_values[i])
+        logs[i] = math.log(abs(c)) + clock.log_magnitude + oscillator.log_magnitude
+        phases[i] = cmath.phase(c) + clock.phase + oscillator.phase
     peak = float(np.max(logs))
     if peak == -math.inf:
         return LogAmplitude(-math.inf, 0.0)
@@ -274,13 +272,6 @@ def orbit_table(state: PawState, samples: int = 256, eta: float | None = None,
             q.ravel(), p.ravel(), (q * root).ravel(), (p / root).ravel())
 
 
-def orbit_family(state: PawState, samples: int = 256, eta: float | None = None,
-                 phi0: float = 0.0) -> list[ClassicalConfig]:
-    """The rows of ``orbit_table`` as ClassicalConfig points."""
-    columns = (column.tolist() for column in orbit_table(state, samples, eta, phi0))
-    return [ClassicalConfig(*row) for row in zip(*columns)]
-
-
 def hamilton_residual(params: OrbitParams, t: float, dt: float) -> tuple[float, float]:
     """Central-difference defects of the two Hamilton equations at time t.
 
@@ -303,17 +294,9 @@ def orbit_energy(params: OrbitParams, config: ClassicalConfig) -> float:
     return 0.5 * config.p ** 2 + 0.5 * (params.m_omega * config.q) ** 2
 
 
-def write_orbit_csv(configs, path) -> None:
-    """Write sampled configurations as CSV rows E,t,q,p,Q,P.
-
-    ``configs`` is a sequence of ClassicalConfig or the columns of
-    ``orbit_table``.
-    """
-    if not (isinstance(configs, tuple)
-            and all(isinstance(column, np.ndarray) for column in configs)):
-        rows = [[c.energy, c.t, c.q, c.p, c.big_q, c.big_p] for c in configs]
-        configs = np.array(rows, dtype=float).reshape(-1, len(ORBIT_COLUMNS)).T
-    write_table(path, ORBIT_COLUMNS, configs)
+def write_orbit_csv(columns, path) -> None:
+    """Write the columns of ``orbit_table`` as CSV rows E,t,q,p,Q,P."""
+    write_table(path, ORBIT_COLUMNS, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,13 @@ verify       run the internal consistency checks and emit a JSON report
 Exit codes: 0 success, 1 runtime failure (including failed verification),
 2 malformed arguments or config, 3 unknown figure name, 4 state that is not
 entanglement-admissible (or otherwise cannot be assembled).
-
-The PAW_THREADS environment variable sets the worker threads used by the
-space-time marginal (default min(4, CPU count); anything but a positive
-integer exits 2); results are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import contextlib
 import dataclasses
 import json
 import math
@@ -186,23 +184,38 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty integer list")
-    return values
+def _checked(kind, accept, expected: str):
+    """An argparse type: ``kind(text)``, which must satisfy ``accept``, else exit 2."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            value = kind(text)
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_COUNT = _checked(int, lambda value: value >= 1, "an integer >= 1")
+_HALVINGS = _checked(int, lambda value: value >= 2, "an integer >= 2")
+_STEP = _checked(float, lambda value: math.isfinite(value) and value > 0.0,
+                 "a finite number > 0")
+_ANGLE = _checked(float, lambda value: 0.0 <= value <= math.pi, "an angle in [0, pi]")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_SPINS = _checked(lambda text: tuple(int(part) for part in text.split(",") if part.strip()),
+                  lambda spins: spins and all(j > 0 and j % 3 == 0 for j in spins),
+                  "comma-separated positive multiples of 3")
 
 
 def parse_coefficient(text: str) -> tuple[int, complex]:
-    """Parse 'K=RE' or 'K=RE+IMj' into an (m+J, amplitude) pair."""
+    """Parse 'K=RE' or 'K=RE+IMj' into an (m+J, finite amplitude) pair."""
     try:
         key, _, value = text.partition("=")
-        return int(key.strip()), complex(value.strip())
+        index, amplitude = int(key.strip()), complex(value.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected K=COMPLEX, got {text!r}") from exc
+    if not cmath.isfinite(amplitude):
+        raise argparse.ArgumentTypeError(f"amplitude is not finite: {text!r}")
+    return index, amplitude
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -507,10 +520,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _sidecar_base(name: str, state: PawState | None) -> dict:
     payload: dict = {"figure": name}
     if state is not None:
-        if state.omega == 1.0:
-            payload["state"] = state_to_dict(state)
-        else:
-            payload["state"] = _state_summary(state)
+        payload["state"] = state_to_dict(state)
     return payload
 
 
@@ -624,9 +634,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def _add_state_flags(parser: argparse.ArgumentParser, coeff_help: str | None = None) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON scenario config (unknown keys are rejected)")
-    parser.add_argument("--two-j", dest="two_j", type=int, default=None,
+    parser.add_argument("--two-j", dest="two_j", type=_COUNT, default=None,
                         help="total spin as the integer 2J")
-    parser.add_argument("--m", dest="m", type=int, default=None,
+    parser.add_argument("--m", dest="m", type=_COUNT, default=None,
                         help="oscillator mass M (integer)")
     parser.add_argument("--epsilon-over-omega", dest="epsilon_over_omega",
                         type=parse_rational, default=None, metavar="N/D",
@@ -664,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="list allowed (m+J, n) pairs")
     p_enum.add_argument("--kappa-r", dest="kappa_r", type=parse_rational,
                         required=True, metavar="N/D")
-    p_enum.add_argument("--two-j", dest="two_j", type=int, required=True)
+    p_enum.add_argument("--two-j", dest="two_j", type=_COUNT, required=True)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_build = sub.add_parser("build", help="assemble and summarize a state")
@@ -682,37 +692,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cond = sub.add_parser("conditional", help="conditional oscillator state")
     _add_state_flags(p_cond)
-    p_cond.add_argument("--theta", type=float, required=True)
-    p_cond.add_argument("--phi", type=float, default=0.0)
+    p_cond.add_argument("--theta", type=_ANGLE, required=True)
+    p_cond.add_argument("--phi", type=_FINITE, default=0.0)
     _add_settings_flag(p_cond, "--tol", "tolerances", help="e.g. log_chi=-690")
     p_cond.set_defaults(func=cmd_conditional)
 
     p_schro = sub.add_parser("schrodinger",
                              help="finite-difference order study of the evolution")
     _add_state_flags(p_schro)
-    p_schro.add_argument("--theta", type=float, default=math.pi / 2)
-    p_schro.add_argument("--phi", type=float, default=0.7)
-    p_schro.add_argument("--dphi", type=float, default=None,
+    p_schro.add_argument("--theta", type=_ANGLE, default=math.pi / 2)
+    p_schro.add_argument("--phi", type=_FINITE, default=0.7)
+    p_schro.add_argument("--dphi", type=_STEP, default=None,
                          help="largest finite-difference step (default scales "
                               "with the fastest branch phase)")
-    p_schro.add_argument("--halvings", type=int, default=4,
+    p_schro.add_argument("--halvings", type=_HALVINGS, default=4,
                          help="number of step halvings in the study")
     p_schro.set_defaults(func=cmd_schrodinger)
 
     p_beta = sub.add_parser("beta", help="joint overlap amplitude at one point")
     _add_state_flags(p_beta)
-    p_beta.add_argument("--theta", type=float, required=True)
-    p_beta.add_argument("--phi", type=float, default=0.0)
-    p_beta.add_argument("--big-q", dest="big_q", type=float, default=0.0,
+    p_beta.add_argument("--theta", type=_ANGLE, required=True)
+    p_beta.add_argument("--phi", type=_FINITE, default=0.0)
+    p_beta.add_argument("--big-q", dest="big_q", type=_FINITE, default=0.0,
                         metavar="Q", help="dimensionless position sqrt(M omega) q")
-    p_beta.add_argument("--big-p", dest="big_p", type=float, default=0.0,
+    p_beta.add_argument("--big-p", dest="big_p", type=_FINITE, default=0.0,
                         metavar="P", help="dimensionless momentum p / sqrt(M omega)")
     p_beta.set_defaults(func=cmd_beta)
 
     p_fig = sub.add_parser("figure", help="reproduce a named data set")
     p_fig.add_argument("name", help=f"one of: {', '.join(FIGURE_NAMES)}")
     _add_state_flags(p_fig)
-    p_fig.add_argument("--j-list", dest="j_list", type=parse_int_list,
+    p_fig.add_argument("--j-list", dest="j_list", type=_SPINS,
                        default=None, metavar="J1,J2,...",
                        help="spin values for chi2-largeJ (default 30,120,570)")
     _add_settings_flag(p_fig, "--theta-count", "grids", key="theta_count")
@@ -732,8 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="internal consistency checks")
     _add_state_flags(p_verify)
-    p_verify.add_argument("--theta", type=float, default=math.pi / 2)
-    p_verify.add_argument("--phi", type=float, default=0.7)
+    p_verify.add_argument("--theta", type=_ANGLE, default=math.pi / 2)
+    p_verify.add_argument("--phi", type=_FINITE, default=0.7)
     _add_settings_flag(p_verify, "--tol", "tolerances")
     p_verify.add_argument("--tamper-shift-n", dest="tamper_shift_n", type=int,
                           default=0,

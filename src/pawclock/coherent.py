@@ -45,10 +45,6 @@ class LogAmplitude:
             return 0j
         return cmath.rect(math.exp(self.log_magnitude), self.phase)
 
-    def __mul__(self, other: "LogAmplitude") -> "LogAmplitude":
-        return LogAmplitude(self.log_magnitude + other.log_magnitude,
-                            self.phase + other.phase)
-
     @classmethod
     def from_complex(cls, z: complex) -> "LogAmplitude":
         if z == 0:
@@ -210,14 +206,15 @@ def hcs_overlap(alpha: complex, mass: int, n: int) -> LogAmplitude:
     """Glauber-coherent-state overlap <alpha|n> as a LogAmplitude.
 
     Magnitude exp(-M|alpha|^2/2) * (sqrt(M)|alpha|)^n / sqrt(n!); the phase
-    convention is -n*arg(alpha).
+    convention is -n*arg(alpha).  The log is taken of sqrt(M)|alpha|, which
+    stays a normal float where u = M|alpha|^2 underflows (|alpha| < 1e-154).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if mass < 1:
         raise ValueError("mass must be a positive integer")
-    u = mass * (alpha.real ** 2 + alpha.imag ** 2)
-    lm = float(hcs_log_magnitude(u, n))
+    root = math.sqrt(mass) * abs(alpha)
+    lm = float(xlogy(n, root) - 0.5 * root ** 2 - 0.5 * ln_factorial(n))
     return LogAmplitude(log_magnitude=lm, phase=-n * cmath.phase(alpha))
 
 

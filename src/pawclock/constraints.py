@@ -36,7 +36,7 @@ class ClockSpec:
 
     ``two_j`` stores the integer 2J so that half-integer spins need no
     fractional bookkeeping.  The offset F is gauge fixed to eps*J, which puts
-    the bottom level m = -J at zero energy; it is exposed as ``f_offset``.
+    the bottom level m = -J at zero energy.
     """
 
     two_j: int
@@ -51,11 +51,6 @@ class ClockSpec:
     @property
     def j(self) -> float:
         return self.two_j / 2.0
-
-    @property
-    def f_offset(self) -> float:
-        """Gauge-fixed energy offset F = eps*J."""
-        return self.epsilon * self.two_j / 2.0
 
     def level_energy(self, m_plus_j: int) -> float:
         """Energy eps*(m+J) of the clock level with ladder index m+J."""

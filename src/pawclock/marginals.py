@@ -49,7 +49,7 @@ class EOutOfRange(ValueError):
 
 
 class ConfigError(ValueError):
-    """A run setting (scenario config, flag or environment variable) is malformed."""
+    """A run setting (scenario config or flag) is malformed."""
 
 
 # Q rows per block of the space-time kernel; blocks start at multiples of it.
@@ -59,22 +59,10 @@ _FLUSH = math.sqrt(sys.float_info.min)
 
 
 def _worker_count() -> int:
-    """Thread count for grid sweeps: PAW_THREADS if set, else min(4, CPU count)."""
-    raw = os.environ.get("PAW_THREADS")
-    if not raw:
-        return min(4, os.cpu_count() or 1)
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"PAW_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
-def _pool_size(requested: int, chunks: int) -> int:
-    """Threads to start for ``chunks`` pieces of work: never more than the pieces."""
-    return max(1, min(requested, chunks))
+    """Thread count for grid sweeps: min(4, the CPUs this process may run on)."""
+    sched_getaffinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(sched_getaffinity(0)) if sched_getaffinity else os.cpu_count()
+    return min(4, cpus or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +212,13 @@ def marginal_phase_space(state: PawState, q_axis: GridAxis | None = None,
 # energy-time marginal
 # ---------------------------------------------------------------------------
 
-def energy_time_density(state: PawState, e, t: float = 0.0):
-    """Joint density over (e, t); scalar or array e.
+def energy_time_density(state: PawState, e):
+    """Joint density over (e, t), the same at every t; scalar or array e.
 
     Equals ((2J+1)/(2*kappa)) sum_m |c_m|^2 binom(2J, k) (1-x)^{2J-k} x^k with
     x = e/(2*kappa) and k = m+J: the clock-sphere density chi^2 rewritten in
-    the energy chart.  The time argument is accepted to emphasize that the
-    density is constant in t.
+    the energy chart.
     """
-    del t
     two_kappa = 2.0 * float(state.ratios.kappa)
     e_arr = np.asarray(e, dtype=float)
     if np.any(e_arr < 0.0) or np.any(e_arr > two_kappa * (1.0 + 1e-12)):
@@ -406,13 +392,8 @@ def _space_time_rows(state: PawState, q_values: np.ndarray, p_nodes: np.ndarray,
         products = np.take(gram.reshape(q.shape[0], -1), kept, axis=1) * pairs.coefficient
         return branch, np.add.reduceat(products, pairs.starts, axis=1)
 
-    starts = range(0, q_values.size, _ROW_BLOCK)
-    threads = _pool_size(_worker_count(), len(starts))
-    if threads == 1:
-        parts = [block(start) for start in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(block, starts))
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        parts = list(pool.map(block, range(0, q_values.size, _ROW_BLOCK)))
     return (np.concatenate([part[0] for part in parts]),
             np.concatenate([part[1] for part in parts]))
 

@@ -178,7 +178,8 @@ def build_state(clock: ClockSpec, oscillator: OscillatorSpec,
 
     Raises NotAdmissible if the family has fewer than two pairs or fewer than
     two branches are occupied, UnsupportedIndex for a coefficient outside the
-    family, and ZeroState when every coefficient vanishes.
+    family, ZeroState when every coefficient vanishes, and ValueError for a
+    coefficient that is not finite.
     """
     kr = Fraction(*kappa_r) if isinstance(kappa_r, tuple) else Fraction(kappa_r)
     ratio_float = clock.epsilon / oscillator.omega
@@ -200,6 +201,8 @@ def build_state(clock: ClockSpec, oscillator: OscillatorSpec,
         if key not in allowed:
             raise UnsupportedIndex(key)
         value = complex(coefficients[key])
+        if not cmath.isfinite(value):
+            raise ValueError(f"coefficient of m+J = {key} is not finite: {value}")
         if value != 0:
             occupied.append((int(key), value))
     if not occupied:

@@ -32,17 +32,6 @@ from pawclock.pawstate import PawState
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def _worker_count() -> int:
-    """Thread count for grid sweeps; the PAW_THREADS env var caps it."""
-    raw = os.environ.get("PAW_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def _log_fock_density(u: np.ndarray, n: float) -> np.ndarray:
     """log of e^{-u} u^n / n! with the 0*log(0) pole convention."""
     return xlogy(n, u) - u - gammaln(n + 1.0)
@@ -113,7 +102,7 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
             if log_amp > -700.0:
                 kept.append((i, j, math.exp(log_amp)))
 
-    workers = _worker_count()
+    workers = min(4, os.cpu_count() or 1)
     chunk_count = min(max(1, workers * 2), q_values.size) if workers > 1 else 1
     chunks = np.array_split(np.arange(q_values.size), chunk_count)
 

@@ -5,6 +5,7 @@ captured output on failure) and then asserts it, so the suite doubles as a
 checklist of the library's quantitative claims.
 """
 
+import cmath
 import math
 import time
 from dataclasses import replace
@@ -14,12 +15,15 @@ import numpy as np
 
 from pawclock.classical import (
     OrbitParams,
+    beta_amplitude,
     beta_double_integral,
     energy_of_theta,
     hamilton_residual,
-    orbit_family,
+    orbit_table,
     surviving_configurations,
+    theta_of_energy,
 )
+from pawclock.coherent import SphereCoordinate
 from pawclock.constraints import (
     NoOddOverEvenForm,
     brute_force_pairs,
@@ -285,16 +289,25 @@ def test_acceptance_07_phase_space_ridges():
 
 def test_acceptance_08_energy_time_peaks():
     """Energy peaks at e = 1/2 and 1 within 2/M, and every t-section of the
-    marginal is the same to 1e-12."""
+    marginal is the same to 1e-12: the plane's azimuth average of |beta|^2,
+    which the marginal integrates, is the same at clock phases eps*t for
+    t = 0 and 0.37, relative to 1e-12, although |beta|^2 itself is not."""
     state = balanced_two_level_state(170)
     grid = marginal_energy_time(state)
     e, v = grid.axes[0].values, grid.values
     peaks = [e[i] for i in range(1, len(v) - 1)
              if v[i] > v[i - 1] and v[i] >= v[i + 1]]
     offsets = [abs(peaks[0] - 0.5), abs(peaks[1] - 1.0)]
-    from pawclock.marginals import energy_time_density
-    drift = float(np.max(np.abs(energy_time_density(state, e, t=0.0)
-                                - energy_time_density(state, e, t=0.37))))
+    # |alpha|^2 = 3/4, so u = M|alpha|^2 lies midway between the two Fock levels
+    alphas = [cmath.rect(math.sqrt(0.75), psi)
+              for psi in np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)]
+    drift = 0.0
+    for energy in (0.5, 0.75, 1.0):
+        theta = theta_of_energy(state.clock, state.oscillator, energy)
+        first, second = (np.mean([beta_amplitude(
+            state, SphereCoordinate(theta, state.epsilon * t), alpha).magnitude_squared
+            for alpha in alphas]) for t in (0.0, 0.37))
+        drift = max(drift, abs(first - second) / first)
     ok = len(peaks) == 2 and max(offsets) <= 2.0 / 170.0 and drift <= 1e-12
     _report("8 energy-time peaks", ok,
             f"peaks at e = {peaks[0]:.5f}, {peaks[1]:.5f} "
@@ -363,10 +376,10 @@ def test_acceptance_10_orbit_family():
                       for lv in levels)
     radii_bounded = max(lv.radius_q for lv in levels) <= math.sqrt(3.0)
 
-    configs = orbit_family(state, samples=32)
-    rel_err = max(abs(0.5 * c.p ** 2 + 0.5 * (170.0 * c.q) ** 2 - c.energy)
-                  / c.energy
-                  for c in configs if c.energy > 0.0)
+    energy, _, q, p, _, _ = orbit_table(state, samples=32)
+    moving = energy > 0.0
+    rel_err = float(np.max(np.abs(0.5 * p ** 2 + 0.5 * (170.0 * q) ** 2 - energy)[moving]
+                           / energy[moving]))
 
     params = OrbitParams(energy=1.0, eta=170.0, phi0=0.3, m_omega=170.0)
     steps = [1e-4 / 2 ** i for i in range(4)]

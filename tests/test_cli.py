@@ -5,20 +5,24 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from pawclock.cli import ScenarioConfig, build_parser
+import pawclock
+from pawclock import marginals
+from pawclock.cli import ScenarioConfig, build_parser, main
 
 BASE = [sys.executable, "-m", "pawclock"]
 SPIN3 = ["--two-j", "6", "--m", "1", "--kappa-r", "3/4"]
+# Each run imports the package this suite imports, installed or not.
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(pawclock.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
 
 
-def run_cli(*argv, threads="2", check=False):
-    """Run the CLI with a pinned thread count and capture both streams."""
-    env = dict(os.environ, PAW_THREADS=threads)
-    result = subprocess.run(BASE + list(argv), capture_output=True,
-                            text=True, env=env)
+def run_cli(*argv, check=False):
+    """Run the CLI in a fresh interpreter and capture both streams."""
+    result = subprocess.run(BASE + list(argv), capture_output=True, text=True, env=ENV)
     if check:
         assert result.returncode == 0, result.stderr or result.stdout
     return result
@@ -76,14 +80,6 @@ def test_unknown_config_key_exits_two(tmp_path):
     result = run_cli("build", "--config", str(path))
     assert result.returncode == 2
     assert "stat" in result.stderr
-
-
-def test_malformed_paw_threads_exits_two(tmp_path):
-    for value in ("four", "0"):
-        result = run_cli("figure", "marg-qt", "--out", str(tmp_path), threads=value)
-        assert result.returncode == 2, value
-        assert "PAW_THREADS" in result.stderr
-    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_figure_exits_three():
@@ -176,25 +172,49 @@ BAD_COUNTS_AND_AXES = {
     "orbits --samples 0": ["orbits", "--m", "4", "--samples", "0"],
     "figure --samples -1": ["figure", "orbits-pq", "--m", "4", "--samples", "-1"],
     "config samples 0": ["orbits", "--m", "4", "--config", "{config}"],
+    "build --m 0": ["build", "--two-j", "6", "--m", "0", "--kappa-r", "3/4"],
+    "build --m -2": ["build", "--two-j", "6", "--m", "-2", "--kappa-r", "3/4"],
+    "figure --m 0": ["figure", "marg-pq", "--m", "0"],
+    "orbits --m 0": ["orbits", "--m", "0"],
+    "enumerate --two-j 0": ["enumerate", "--two-j", "0", "--kappa-r", "3/4"],
+    "schrodinger --halvings 0": ["schrodinger", "--halvings", "0"],
+    "schrodinger --halvings 1": ["schrodinger", "--halvings", "1"],
+    "conditional --theta 4": ["conditional", "--theta", "4"],
+    "conditional --theta -1": ["conditional", "--theta", "-1"],
+    "schrodinger --theta 4": ["schrodinger", "--theta", "4"],
+    "conditional --phi nan": ["conditional", "--theta", "1", "--phi", "nan"],
+    "beta --big-q nan": ["beta", "--theta", "1", "--big-q", "nan"],
+    "schrodinger --dphi 0": ["schrodinger", "--dphi", "0"],
+    "schrodinger --dphi nan": ["schrodinger", "--dphi", "nan"],
+    "figure --j-list 4": ["figure", "chi2-largeJ", "--j-list", "4"],
+    "build --coeff 2=nan": ["build", *SPIN3, "--coeff", "2=nan", "--coeff", "6=1"],
+    "build --coeff 2=inf": ["build", *SPIN3, "--coeff", "2=inf", "--coeff", "6=1"],
 }
+# Subcommands that take --out; the others are run without it.
+WRITERS = {"build", "chi2", "figure", "orbits"}
 
 
 def test_counts_and_axes_are_validated(tmp_path):
     """Every count is at least 1 and every axis has two samples and finite start < stop.
 
+    So are the sizes, angles, steps, spins and amplitudes of the flags: M and
+    2J at least 1, at least two halvings, theta in [0, pi], finite phi, Q and
+    P, a finite positive dphi, spins that are positive multiples of 3 and
+    finite coefficients.
     Each case of BAD_COUNTS_AND_AXES exits 2 with an error line, no traceback
-    and no CSV; a count of 1 where one sample is meaningful is accepted.
+    and no output file; a count of 1 where one sample is meaningful is accepted.
     """
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"grids": {"samples": 0}}))
     for case, argv in BAD_COUNTS_AND_AXES.items():
         out = tmp_path / case.replace(" ", "_")
         argv = [arg.format(config=config) for arg in argv]
-        result = run_cli(*argv, "--out", str(out))
+        result = run_cli(*argv, *(["--out", str(out)] if argv[0] in WRITERS else []))
         assert result.returncode == 2, (case, result.stdout, result.stderr)
         assert "error:" in result.stderr, case
         assert "Traceback" not in result.stderr, case
-        assert not list(out.glob("*.csv")), case
+        assert "unrecognized arguments" not in result.stderr, case
+        assert not out.exists() or not list(out.iterdir()), case
 
     run_cli("chi2", "--theta-count", "1", "--out", str(tmp_path / "one"), check=True)
     rows = (tmp_path / "one" / "chi2.csv").read_text().splitlines()
@@ -334,12 +354,13 @@ def test_figure_orbits_radii_ladder(tmp_path):
     assert sidecar["radii"] == [math.sqrt(2.0 * n / 8.0) for n in range(12)]
 
 
-def test_figure_runs_are_deterministic_across_thread_counts(tmp_path):
+def test_figure_runs_are_deterministic_across_thread_counts(tmp_path, monkeypatch):
     """Byte-identical CSV output no matter how the work is chunked."""
-    args = ("figure", "marg-qt", "--m", "10", "--grid", "q_count=101",
-            "--grid", "t_count=16")
-    run_cli(*args, "--out", str(tmp_path / "a"), threads="1", check=True)
-    run_cli(*args, "--out", str(tmp_path / "b"), threads="7", check=True)
+    args = ["figure", "marg-qt", "--m", "10", "--grid", "q_count=101",
+            "--grid", "t_count=16"]
+    for threads, out in ((1, "a"), (7, "b")):
+        monkeypatch.setattr(marginals, "_worker_count", lambda: threads)
+        assert main([*args, "--out", str(tmp_path / out)]) == 0
     first = (tmp_path / "a" / "marg-qt.csv").read_bytes()
     second = (tmp_path / "b" / "marg-qt.csv").read_bytes()
     assert first == second

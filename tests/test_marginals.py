@@ -10,15 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from pawclock import marginals
 from pawclock.classical import theta_of_energy
 from pawclock.marginals import (
-    ConfigError,
     DistributionGrid,
     EOutOfRange,
     GridAxis,
     InterferenceReport,
     _log_clock_overlap,
-    _pool_size,
     _worker_count,
     classical_limit_section,
     clock_interference_factor,
@@ -151,13 +150,6 @@ def test_energy_time_density_rejects_out_of_range():
         energy_time_density(state, 1.6)
     with pytest.raises(EOutOfRange):
         energy_time_density(state, -0.1)
-
-
-def test_energy_time_density_time_independent():
-    state = balanced_two_level_state(170)
-    e = np.linspace(0.0, 1.5, 301)
-    assert np.array_equal(energy_time_density(state, e, t=0.0),
-                          energy_time_density(state, e, t=0.9))
 
 
 def test_marginal_energy_time_mass_and_peaks():
@@ -313,39 +305,27 @@ def test_marginal_space_time_interference_oscillates_in_time():
     assert (section[0] - section.mean()) * (section[32] - section.mean()) < 0.0
 
 
-def test_marginal_space_time_thread_count_invariance():
+def test_marginal_space_time_thread_count_invariance(monkeypatch):
     state = balanced_two_level_state(10)
     q_axis = GridAxis("Q", -2.0, 2.0, 101)
     t_axis = GridAxis("t", 0.0, 0.3, 8)
-    saved = os.environ.get("PAW_THREADS")
-    try:
-        os.environ["PAW_THREADS"] = "1"
-        serial, _ = marginal_space_time(state, q_axis, t_axis)
-        os.environ["PAW_THREADS"] = "5"
-        threaded, _ = marginal_space_time(state, q_axis, t_axis)
-    finally:
-        if saved is None:
-            os.environ.pop("PAW_THREADS", None)
-        else:
-            os.environ["PAW_THREADS"] = saved
-    assert np.array_equal(serial.values, threaded.values)
+    results = []
+    for threads in (1, 5):
+        monkeypatch.setattr(marginals, "_worker_count", lambda: threads)
+        results.append(marginal_space_time(state, q_axis, t_axis)[0].values)
+    assert np.array_equal(results[0], results[1])
 
 
-def test_worker_count_reads_paw_threads(monkeypatch):
-    monkeypatch.delenv("PAW_THREADS", raising=False)
-    assert _worker_count() == min(4, os.cpu_count() or 1)
-    monkeypatch.setenv("PAW_THREADS", "3")
-    assert _worker_count() == 3
-    for value in ("abc", "0", "-2", "1.5"):
-        monkeypatch.setenv("PAW_THREADS", value)
-        with pytest.raises(ConfigError, match="PAW_THREADS"):
-            _worker_count()
-
-
-def test_pool_size_never_exceeds_chunks():
-    assert _pool_size(1_000_000, 3) == 3
-    assert _pool_size(2, 101) == 2
-    assert _pool_size(4, 0) == 1
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    """min(4, the CPUs the process may run on), so a cpuset or taskset lowers it."""
+    for cpus, expected in ((range(1), 1), (range(3), 3), (range(64), 4)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        assert _worker_count() == expected
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _worker_count() == 2
 
 
 def test_marginal_space_time_suppression_at_large_mass():

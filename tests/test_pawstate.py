@@ -110,6 +110,18 @@ def test_build_state_rejects_mismatched_ratio():
         build_state(clock, oscillator, Fraction(3, 4), {2: 1.0, 6: 1.0})
 
 
+def test_build_state_rejects_non_finite_amplitudes():
+    """No route builds a NaN state: flags, dicts and JSON documents alike."""
+    for bad in (math.nan, math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            assemble_state(6, 1, Fraction(3, 4), {2: bad, 6: 1.0})
+    document = json.loads('{"two_J": 6, "epsilon_over_omega": [3, 4], "M": 1, '
+                          '"coefficients": [{"m_plus_J": 2, "re": NaN, "im": 0.0}, '
+                          '{"m_plus_J": 6, "re": 1.0, "im": 0.0}]}')
+    with pytest.raises(ValueError, match="not finite"):
+        state_from_dict(document)
+
+
 def test_build_state_admissibility_errors():
     # single-pair spin: not entanglement admissible
     with pytest.raises(NotAdmissible):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pawclock import marginals
 from pawclock.coherent import ln_binomial
 from pawclock.marginals import (
     GridAxis,
@@ -105,8 +106,8 @@ def test_space_time_bits_do_not_depend_on_thread_count(monkeypatch):
     state = dense_family_state(20)
     t_axis = GridAxis("t", 0.0, 0.3, 8)
     results = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("PAW_THREADS", threads)
+    for threads in (1, 7):
+        monkeypatch.setattr(marginals, "_worker_count", lambda: threads)
         grid, report = marginal_space_time(state, Q_AXIS, t_axis)
         results.append((grid.values, report))
     assert np.array_equal(results[0][0], results[1][0])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pawclock.classical import (
     OrbitParams,
     classical_orbit,
-    orbit_family,
     orbit_table,
     surviving_configurations,
     write_orbit_csv,
@@ -105,26 +104,21 @@ def test_orbit_table_equals_classical_orbit_bitwise(make_state, samples, eta, ph
 
 
 def test_orbit_family_and_csv_follow_the_table(tmp_path):
-    """orbit_family is the per-level classical_orbit list; both CSV inputs agree."""
+    """The CSV of the table is savetxt of the per-level classical_orbit family."""
     state = dense_family_state(10)
     m_omega = state.mass * state.oscillator.omega
     t_grid = np.linspace(0.0, 2.0 * math.pi / m_omega, 16, endpoint=False)
-    expected = []
+    family = []
     for level in surviving_configurations(state):
-        expected.extend(classical_orbit(
+        family.extend(classical_orbit(
             OrbitParams(energy=level.energy_classical, eta=m_omega, phi0=0.0,
                         m_omega=m_omega), t_grid))
-    configs = orbit_family(state, samples=16)
-    assert configs == expected
-    table = orbit_table(state, samples=16)
-    write_orbit_csv(configs, tmp_path / "from_configs.csv")
-    write_orbit_csv(table, tmp_path / "from_table.csv")
-    text = (tmp_path / "from_table.csv").read_bytes()
-    assert text == (tmp_path / "from_configs.csv").read_bytes()
-    assert text == savetxt_bytes(tmp_path / "expected.csv", ["E", "t", "q", "p", "Q", "P"],
-                                 table)
+    rows = np.array([[c.energy, c.t, c.q, c.p, c.big_q, c.big_p] for c in family])
+    write_orbit_csv(orbit_table(state, samples=16), tmp_path / "table.csv")
+    assert (tmp_path / "table.csv").read_bytes() == savetxt_bytes(
+        tmp_path / "expected.csv", ["E", "t", "q", "p", "Q", "P"], rows.T)
 
 
 def test_write_orbit_csv_of_no_configs_is_the_header(tmp_path):
-    write_orbit_csv([], tmp_path / "empty.csv")
+    write_orbit_csv(orbit_table(spin3_pair_state(), samples=0), tmp_path / "empty.csv")
     assert (tmp_path / "empty.csv").read_text() == "E,t,q,p,Q,P\n"
