@@ -242,7 +242,12 @@ def _resolve_state(args: argparse.Namespace, config: ScenarioConfig,
     if two_j is not None:
         return _state_from_flags(args)
     if config.state is not None:
-        return state_from_dict(config.state)
+        try:
+            return state_from_dict(config.state)
+        except (NotAdmissible, UnsupportedIndex, ZeroState):
+            raise
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"malformed 'state' in config: {exc}") from exc
     stray = [flag for flag, attr in (("--epsilon-over-omega", "epsilon_over_omega"),
                                      ("--kappa-r", "kappa_r"), ("--coeff", "coeff"))
              if getattr(args, attr, None)]

@@ -193,15 +193,6 @@ def _log_fock_density(u, n):
     return xlogy(n, u) - u - ln_factorial(n)
 
 
-def hcs_log_magnitude(u, n):
-    """log |<alpha|n>| expressed through u = M*|alpha|^2 (scalar or array).
-
-    Half the log Fock density: the square root of a Poisson probability mass
-    with mean u.
-    """
-    return 0.5 * _log_fock_density(np.asarray(u, dtype=float), n)
-
-
 def hcs_overlap(alpha: complex, mass: int, n: int) -> LogAmplitude:
     """Glauber-coherent-state overlap <alpha|n> as a LogAmplitude.
 

@@ -88,9 +88,28 @@ def test_unknown_figure_exits_three():
     assert "choose from" in result.stderr
 
 
-def test_inadmissible_state_exits_four():
-    """2J = 3 leaves a single allowed pair: no entanglement is possible."""
+SPIN3_ENTRIES = [{"m_plus_J": 2, "re": 1.0, "im": 0.0}, {"m_plus_J": 6, "re": 1.0, "im": 0.0}]
+
+
+def spin3_document(**changes):
+    """The spin3 reference state as a state document; a change to None drops the key."""
+    document = {"two_J": 6, "epsilon_over_omega": [3, 4], "M": 1,
+                "coefficients": SPIN3_ENTRIES}
+    document.update(changes)
+    return {key: value for key, value in document.items() if value is not None}
+
+
+def test_inadmissible_state_exits_four(tmp_path):
+    """2J = 3 leaves a single allowed pair: no entanglement is possible.
+
+    The same state read from a config is well formed, so it also exits 4.
+    """
     result = run_cli("build", "--two-j", "3", "--m", "1", "--kappa-r", "3/4")
+    assert result.returncode == 4
+    assert "not admissible" in result.stderr
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"state": spin3_document(two_J=3)}))
+    result = run_cli("build", "--config", str(path), "--out", str(tmp_path / "out"))
     assert result.returncode == 4
     assert "not admissible" in result.stderr
 
@@ -134,6 +153,12 @@ MALFORMED_SETTINGS = {
     "tolerance-bool": ({"tolerances": {"log_chi": True}}, []),
     "start-null": ({"grids": {"q_start": None}}, []),
     "dphi-flag": ({}, ["--tol", "dphi=1e-6"]),
+    "state-unknown-key": ({"state": spin3_document(mass=1)}, []),
+    "state-missing-key": ({"state": spin3_document(M=None)}, []),
+    "state-bad-entry": ({"state": spin3_document(
+        coefficients=[{"m_plus_J": 2, "re": 1.0}, SPIN3_ENTRIES[1]])}, []),
+    "state-re-nan": ({"state": spin3_document(
+        coefficients=[{**SPIN3_ENTRIES[0], "re": math.nan}, SPIN3_ENTRIES[1]])}, []),
 }
 
 
@@ -141,12 +166,15 @@ def test_settings_are_typed_by_one_table(tmp_path):
     """Malformed settings exit 2, and a count is read alike in any integral form.
 
     Each value of MALFORMED_SETTINGS exits 2 with an error line and no
-    traceback; q_count as "801" or 801.0 writes the CSV of --grid q_count=801.
+    traceback; a case with a state document gives no state flags, so the
+    document is read.  q_count as "801" or 801.0 writes the CSV of
+    --grid q_count=801.
     """
     path = tmp_path / "config.json"
     for case, (config, flags) in MALFORMED_SETTINGS.items():
         path.write_text(json.dumps(config))
-        result = run_cli("verify", *SPIN3, "--skip-beta", "--config", str(path), *flags)
+        state_flags = [] if "state" in config else SPIN3
+        result = run_cli("verify", *state_flags, "--skip-beta", "--config", str(path), *flags)
         assert result.returncode == 2, (case, result.stdout, result.stderr)
         assert "error:" in result.stderr, case
         assert "Traceback" not in result.stderr, case

@@ -19,9 +19,9 @@ from pawclock.coherent import (
     LogAmplitude,
     PlaneCoordinate,
     SphereCoordinate,
+    _log_fock_density,
     fock_cutoff,
     gauss_legendre,
-    hcs_log_magnitude,
     hcs_overlap,
     ln_binomial,
     ln_factorial,
@@ -162,15 +162,15 @@ def fock_readings(draw):
 @example(case=(4000, 4000.0))
 @example(case=(4000, 1e-3))
 @example(case=(0, 8000.0))
-def test_hcs_log_magnitude_matches_mpmath(case):
-    """(n ln u - u - ln n!)/2 against a 50-digit oracle, within 4 ulps of the
-    summed term magnitudes."""
+def test_log_fock_density_matches_mpmath(case):
+    """Half the log Fock density, log |<alpha|n>| = (n ln u - u - ln n!)/2,
+    against a 50-digit oracle, within 4 ulps of the summed term magnitudes."""
     n, u = case
     with mpmath.workdps(50):
         log_u, log_factorial = mpmath.log(mpmath.mpf(u)), mpmath.loggamma(n + 1)
         exact = (n * log_u - u - log_factorial) / 2
         scale = n * abs(log_u) + u + log_factorial
-    error = abs(float(hcs_log_magnitude(u, n)) - float(exact))
+    error = abs(0.5 * float(_log_fock_density(u, n)) - float(exact))
     assert error <= 4.0 * EPS * float(scale)
 
 
@@ -231,7 +231,7 @@ def test_hcs_levels_resolve_unity_pointwise():
     """sum_n |<alpha|n>|^2 = 1 (the Poisson distribution sums to one)."""
     for u in (0.3, 4.0, 170.0):
         cutoff = fock_cutoff(u)
-        total = sum(math.exp(2.0 * hcs_log_magnitude(u, n)) for n in range(cutoff))
+        total = sum(math.exp(_log_fock_density(u, n)) for n in range(cutoff))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -241,7 +241,7 @@ def test_plane_measure_integrates_each_level_to_one():
     for n in (0, 2, 17):
         # (M/2pi) dQ dP = du dtheta/(2pi) with u = M(Q^2+P^2)/2; the angular
         # integral is trivial, leaving integral du e^{-u} u^n / n! = 1
-        total = np.sum(weights * np.exp(hcs_log_magnitude(nodes, n) * 2.0 + nodes))
+        total = np.sum(weights * np.exp(_log_fock_density(nodes, n) + nodes))
         assert total == pytest.approx(1.0, rel=1e-9), n
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.special import betainc, gammaincc
 
 from pawclock import marginals
 from pawclock.classical import theta_of_energy
@@ -33,12 +35,15 @@ from pawclock.marginals import (
     space_time_diagonal,
 )
 from pawclock.pawstate import (
+    assemble_state,
     balanced_two_level_state,
     chi_squared,
     dense_family_state,
     spin3_pair_state,
 )
+from reference_phase_space import marginal_phase_space as reference_phase_space
 from reference_space_time import _pair_energy_overlap
+from test_beta_reference import admissible_states
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +134,74 @@ def test_marginal_phase_space_ridge_positions():
     assert abs(peaks[1] - math.sqrt(2.0)) <= grid.axes[0].spacing
 
 
+@st.composite
+def grid_axes(draw, name):
+    """An axis of 2-300 samples that holds 0 exactly or starts and stops anywhere.
+
+    A dyadic spacing h makes every sample i*h - below*h exact, so sample
+    ``below`` is 0.0 exactly; otherwise start and stop are arbitrary.
+    """
+    count = draw(st.integers(2, 300))
+    if draw(st.booleans()):
+        spacing = draw(st.integers(1, 40)) / 1024.0
+        below = draw(st.integers(0, count - 1))
+        return GridAxis(name, -below * spacing, (count - 1 - below) * spacing, count)
+    start = draw(st.floats(-3.0, 2.9))
+    return GridAxis(name, start, start + draw(st.floats(0.01, 3.0)), count)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(state=admissible_states() | st.integers(1, 60).map(dense_family_state),
+       q_axis=grid_axes("Q"), p_axis=grid_axes("P"))
+@example(state=dense_family_state(10), q_axis=default_phase_space_axes()[0],
+         p_axis=default_phase_space_axes()[1])
+@example(state=dense_family_state(8), q_axis=GridAxis("Q", -2.5, 2.5, 333),
+         p_axis=GridAxis("P", -1.3, 2.5, 801))
+def test_phase_space_matches_per_cell_sweep_bitwise(state, q_axis, p_axis):
+    """Evaluating each branch once per distinct U gives the per-cell bits."""
+    grid = marginal_phase_space(state, q_axis, p_axis)
+    expected = reference_phase_space(state, q_axis, p_axis)
+    assert grid.values.shape == expected.values.shape
+    assert grid.values.tobytes() == expected.values.tobytes()
+
+
+def test_phase_space_evaluates_each_branch_once_per_distinct_radius(monkeypatch):
+    """Dense M = 10 on the default axes: 15 kernel calls of 146,417 radii each,
+    not of the 641,601 cells."""
+    state = dense_family_state(10)
+    kernel = marginals._log_fock_density
+    sizes = []
+
+    def counting_kernel(u, n):
+        sizes.append(np.size(u))
+        return kernel(u, n)
+
+    monkeypatch.setattr(marginals, "_log_fock_density", counting_kernel)
+    marginal_phase_space(state)
+    q_axis, p_axis = default_phase_space_axes()
+    u = 0.5 * state.mass * (q_axis.values[:, None] ** 2 + p_axis.values[None, :] ** 2)
+    assert np.unique(u).size == 146_417
+    assert sizes == [146_417] * len(state.n_values)
+
+
+def test_phase_space_peak_memory_stays_below_four_grids():
+    """Traced peak of one call on dense M = 40 at most 4x the output grid.
+
+    The per-cell sweep peaks just above 4x (4.003x), and
+    np.unique(u, return_inverse=True) over the full grid at 6.35x.  A small
+    call first builds the state's cached arrays, so they are not counted.
+    """
+    state = dense_family_state(40)
+    marginal_phase_space(state, GridAxis("Q", -1.0, 1.0, 5), GridAxis("P", -1.0, 1.0, 5))
+    tracemalloc.start()
+    try:
+        grid = marginal_phase_space(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * grid.values.nbytes
+
+
 # ---------------------------------------------------------------------------
 # energy-time marginal
 # ---------------------------------------------------------------------------
@@ -164,6 +237,60 @@ def test_marginal_energy_time_mass_and_peaks():
     assert len(peaks) == 2
     assert abs(peaks[0] - 0.5) < 2.0 / 170.0
     assert abs(peaks[1] - 1.0) < 2.0 / 170.0
+
+
+@st.composite
+def ridge_states(draw):
+    """States with 2-6 branches whose outermost ridge sqrt(2 n_max / M) lies
+    inside the default +-2.5 phase-space window.
+
+    Label l sits at m+J = i_m (2l + 1) and Fock level n = i_n (2l + 1) + l.
+    """
+    i_m = draw(st.integers(1, 3))
+    i_n = draw(st.integers(0, 3).filter(lambda i: math.gcd(2 * i + 1, 2 * i_m) == 1))
+    mass = draw(st.integers(2 * i_n + 1, 60))
+    labels = [label for label in range(400) if i_n * (2 * label + 1) + label < 3.125 * mass]
+    chosen = draw(st.sets(st.sampled_from(labels), min_size=2, max_size=6))
+    top = i_m * (2 * max(chosen) + 1)
+    coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                     allow_infinity=False).filter(lambda c: abs(c) > 0.1)
+    return assemble_state(two_j=draw(st.integers(max(top, 3 * i_m), top + 60)), mass=mass,
+                          eps_over_omega=f"{2 * i_n + 1}/{2 * i_m}",
+                          coefficients={i_m * (2 * label + 1): draw(coefficient)
+                                        for label in chosen})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(state=ridge_states())
+@example(state=dense_family_state(10))
+@example(state=dense_family_state(40))
+def test_marginals_are_non_negative_with_unit_mass(state):
+    """The trapezoid mass of each marginal is 1 less what lies outside its window.
+
+    Phase space: the mass outside the default square lies between the Gamma
+    tails Q(n+1, M R^2/2) beyond the inscribed (R = 2.5) and the circumscribed
+    (R = 2.5 sqrt 2) circles.  Energy: the mass inside [0, e_stop] is the
+    incomplete Beta I_x(k+1, 2J-k+1) at x = e_stop/(2 kappa).  Both are 1 for
+    a state the window holds, such as dense M = 40.  Measured over these 42
+    examples: the phase-space mass leaves its bounds by at most 1.8e-15, and
+    the energy mass misses its closed form by at most 1.0e-5 (dense M = 40),
+    the trapezoid error of a density with a steep slope at e = 0.
+    """
+    weights = np.abs(state.amplitudes) ** 2
+    n = np.array(state.n_values, dtype=float)
+    k = np.array(state.support, dtype=float)
+
+    plane = marginal_phase_space(state)
+    assert plane.values.min() >= 0.0
+    low = 1.0 - np.sum(weights * gammaincc(n + 1.0, state.mass * 2.5 ** 2 / 2.0))
+    high = 1.0 - np.sum(weights * gammaincc(n + 1.0, state.mass * 2.5 ** 2))
+    assert low - 1e-13 <= plane.mass() <= high + 1e-13
+
+    energy = marginal_energy_time(state)
+    assert energy.values.min() >= 0.0
+    x_stop = min(energy.axes[0].stop / (2.0 * float(state.ratios.kappa)), 1.0)
+    inside = np.sum(weights * betainc(k + 1.0, state.two_j - k + 1.0, x_stop))
+    assert energy.mass() == pytest.approx(inside, abs=3e-5)
 
 
 # ---------------------------------------------------------------------------
