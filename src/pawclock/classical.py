@@ -20,6 +20,7 @@ import numpy as np
 from .coherent import (
     LogAmplitude,
     SphereCoordinate,
+    _libm_log,
     _log_fock_density,
     gauss_legendre,
     hcs_overlap,
@@ -96,7 +97,7 @@ def beta_amplitude(state: PawState, point: SphereCoordinate,
     for i, (k, c) in enumerate(state.coefficients):
         clock = scs_overlap(point, state.two_j, k)
         oscillator = hcs_overlap(alpha, state.mass, state.n_values[i])
-        logs[i] = math.log(abs(c)) + clock.log_magnitude + oscillator.log_magnitude
+        logs[i] = state._log_moduli[i] + clock.log_magnitude + oscillator.log_magnitude
         phases[i] = cmath.phase(c) + clock.phase + oscillator.phase
     peak = float(np.max(logs))
     if peak == -math.inf:
@@ -129,7 +130,7 @@ def _branch_norms(state: PawState) -> np.ndarray:
     low = np.maximum(0.0, n - reach)
     half_width = 0.5 * (n + reach - low)
     u = low + half_width * (1.0 + x[:, None])
-    log_r = logsumexp(_log_fock_density(u, n)
+    log_r = logsumexp(_log_fock_density(u, _libm_log(u), n)
                       + np.log(w)[:, None] + np.log(half_width), axis=0)
     return np.exp(log_s + log_r)
 

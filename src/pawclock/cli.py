@@ -23,6 +23,7 @@ import argparse
 import cmath
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -174,14 +175,18 @@ class ScenarioConfig:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'N/D' or 'N' into a Fraction; argparse maps failures to exit 2."""
+    """Parse 'N/D' or 'N' into a positive Fraction; argparse maps failures to exit 2."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(text.strip()))
+            ratio = Fraction(int(num.strip()), int(den.strip()))
+        else:
+            ratio = Fraction(int(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    if ratio <= 0:
+        raise argparse.ArgumentTypeError(f"expected a ratio > 0, got {text!r}")
+    return ratio
 
 
 def _checked(kind, accept, expected: str):
@@ -244,9 +249,9 @@ def _resolve_state(args: argparse.Namespace, config: ScenarioConfig,
     if config.state is not None:
         try:
             return state_from_dict(config.state)
-        except (NotAdmissible, UnsupportedIndex, ZeroState):
+        except (NotAdmissible, ZeroState):
             raise
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"malformed 'state' in config: {exc}") from exc
     stray = [flag for flag, attr in (("--epsilon-over-omega", "epsilon_over_omega"),
                                      ("--kappa-r", "kappa_r"), ("--coeff", "coeff"))
@@ -761,9 +766,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it unchanged,
+    and building its ~100 arguments costs more than a small ``verify``."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

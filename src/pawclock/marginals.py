@@ -40,10 +40,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
-from .coherent import (_log_fock_density, gauss_legendre, ln_binomial, ln_factorial,
-                       logsumexp)
+from .coherent import (_libm_log, _log_fock_density, gauss_legendre, ln_binomial,
+                       ln_factorial, logsumexp, xlogy)
 from .pawstate import PawState
 from .table import write_table
 
@@ -228,9 +227,14 @@ def marginal_phase_space(state: PawState, q_axis: GridAxis | None = None,
     cell = np.empty_like(order)
     cell[order] = rank
     del order, rank, first
+    log_distinct = _libm_log(distinct)
     values = np.zeros_like(distinct)
     for weight, n in zip(np.abs(state.amplitudes) ** 2, state.n_values):
-        values += weight * np.exp(_log_fock_density(distinct, n))
+        # in place: a new temporary per step costs more than the arithmetic
+        term = _log_fock_density(distinct, log_distinct, n)
+        np.exp(term, out=term)
+        term *= weight
+        values += term
     values *= state.mass / (2.0 * math.pi)
     values = values[cell].reshape(q2.size, p2.size)[np.ix_(iq, ip)]
     return DistributionGrid(axes=(q_axis, p_axis), values=values,

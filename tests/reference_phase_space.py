@@ -2,9 +2,10 @@
 
 This is the original implementation of
 ``pawclock.marginals.marginal_phase_space``: every occupied branch evaluates
-the Fock density on every cell of the Q x P grid.  The production code
-evaluates each branch once per distinct U = M(Q^2 + P^2)/2 in the same
-operation order, so the two agree bit for bit; see tests/test_marginals.py.
+the Fock density on every cell of the Q x P grid, with scipy's xlogy and
+gammaln.  The production code evaluates each branch once per distinct
+U = M(Q^2 + P^2)/2 in the same operation order, with the bitwise replicas in
+``pawclock.coherent``, so the two agree bit for bit; see tests/test_marginals.py.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
-from pawclock.coherent import _log_fock_density
 from pawclock.marginals import DistributionGrid, GridAxis, default_phase_space_axes
 from pawclock.pawstate import PawState
 
@@ -30,7 +31,7 @@ def marginal_phase_space(state: PawState, q_axis: GridAxis | None = None,
     u = 0.5 * state.mass * (big_q ** 2 + big_p ** 2)
     values = np.zeros_like(u)
     for weight, n in zip(np.abs(state.amplitudes) ** 2, state.n_values):
-        values += weight * np.exp(_log_fock_density(u, n))
+        values += weight * np.exp(xlogy(n, u) - u - gammaln(n + 1.0))
     values *= state.mass / (2.0 * math.pi)
     return DistributionGrid(axes=(q_axis, p_axis), values=values,
                             measure="M/(2*pi) dQ dP")

@@ -68,6 +68,27 @@ def test_malformed_rational_exits_two():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--two-j", "6", "--kappa-r", "0", "--m", "1"],
+    ["build", "--two-j", "6", "--epsilon-over-omega", "0", "--m", "1"],
+    ["build", "--two-j", "6", "--kappa-r", "3/-4", "--m", "1"],
+    ["enumerate", "--kappa-r", "0", "--two-j", "6"],
+])
+def test_non_positive_ratio_exits_two(argv):
+    """A ratio <= 0 is a malformed argument, refused before any state is built."""
+    result = run_cli(*argv)
+    assert result.returncode == 2, result.stderr
+    assert "expected a ratio > 0" in result.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test oracle only: the command line never imports it."""
+    probe = "import sys, pawclock.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=ENV, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_stray_state_flag_exits_two():
     result = run_cli("build", "--kappa-r", "3/4")
     assert result.returncode == 2
@@ -159,6 +180,10 @@ MALFORMED_SETTINGS = {
         coefficients=[{"m_plus_J": 2, "re": 1.0}, SPIN3_ENTRIES[1]])}, []),
     "state-re-nan": ({"state": spin3_document(
         coefficients=[{**SPIN3_ENTRIES[0], "re": math.nan}, SPIN3_ENTRIES[1]])}, []),
+    "state-ratio-int": ({"state": spin3_document(epsilon_over_omega=3)}, []),
+    "state-zero-denominator": ({"state": spin3_document(epsilon_over_omega=[3, 0])}, []),
+    "state-re-string": ({"state": spin3_document(
+        coefficients=[{**SPIN3_ENTRIES[0], "re": "x"}, SPIN3_ENTRIES[1]])}, []),
 }
 
 

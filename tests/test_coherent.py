@@ -15,10 +15,12 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import comb, roots_laguerre
 from scipy.stats import poisson
 
+from pawclock import coherent
 from pawclock.coherent import (
     LogAmplitude,
     PlaneCoordinate,
     SphereCoordinate,
+    _libm_log,
     _log_fock_density,
     fock_cutoff,
     gauss_legendre,
@@ -31,6 +33,7 @@ from pawclock.coherent import (
     scs_overlap,
     sphere_measure_weight,
     sphere_quadrature,
+    xlogy,
 )
 
 
@@ -170,7 +173,7 @@ def test_log_fock_density_matches_mpmath(case):
         log_u, log_factorial = mpmath.log(mpmath.mpf(u)), mpmath.loggamma(n + 1)
         exact = (n * log_u - u - log_factorial) / 2
         scale = n * abs(log_u) + u + log_factorial
-    error = abs(0.5 * float(_log_fock_density(u, n)) - float(exact))
+    error = abs(0.5 * float(_log_fock_density(u, math.log(u), n)) - float(exact))
     assert error <= 4.0 * EPS * float(scale)
 
 
@@ -231,7 +234,7 @@ def test_hcs_levels_resolve_unity_pointwise():
     """sum_n |<alpha|n>|^2 = 1 (the Poisson distribution sums to one)."""
     for u in (0.3, 4.0, 170.0):
         cutoff = fock_cutoff(u)
-        total = sum(math.exp(_log_fock_density(u, n)) for n in range(cutoff))
+        total = sum(math.exp(_log_fock_density(u, math.log(u), n)) for n in range(cutoff))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -241,7 +244,8 @@ def test_plane_measure_integrates_each_level_to_one():
     for n in (0, 2, 17):
         # (M/2pi) dQ dP = du dtheta/(2pi) with u = M(Q^2+P^2)/2; the angular
         # integral is trivial, leaving integral du e^{-u} u^n / n! = 1
-        total = np.sum(weights * np.exp(_log_fock_density(nodes, n) + nodes))
+        total = np.sum(weights * np.exp(_log_fock_density(nodes, _libm_log(nodes), n)
+                                        + nodes))
         assert total == pytest.approx(1.0, rel=1e-9), n
 
 
@@ -301,6 +305,89 @@ def test_logsumexp_is_bitwise_scipy(a, axis):
     assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
 
 
+def _same_bits(ours, theirs):
+    """Equal shape and bytes, where a NaN equals a NaN of any payload."""
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    nan = np.isnan(ours) & np.isnan(theirs)
+    return (ours.shape == theirs.shape
+            and np.where(nan, 0.0, ours).tobytes() == np.where(nan, 0.0, theirs).tobytes())
+
+
+def test_ln_gamma_table_is_bitwise_gammaln():
+    """log Gamma(h/2 + 1) at every h/2 up to 6000.5, read from the table."""
+    x = np.arange(12_002) / 2.0
+    ours = ln_factorial(x)
+    assert coherent._ln_gamma_halves.size >= x.size
+    assert ours.tobytes() == scipy.special.gammaln(x + 1.0).tobytes()
+    assert type(ln_factorial(3)) is type(scipy.special.gammaln(4.0))
+
+
+# the recurrence (x < 13), Stirling (13 <= x < 1000 and above), the reflection
+# (x < -34), the poles and every non-finite value
+LGAM_ARGUMENTS = (st.floats(-50.0, 14.0) | st.floats(0.0, 2e3) | st.floats(0.0, 1e9)
+                  | st.floats(allow_nan=True, allow_infinity=True)
+                  | st.integers(-60, 20).map(float)
+                  | st.integers(-24_000, 24_000).map(lambda h: h / 2.0))
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True)
+@given(x=LGAM_ARGUMENTS)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=2.556348e305)
+@example(x=-34.5)
+def test_lgam_is_bitwise_gammaln(x):
+    assert _same_bits(coherent._lgam(x), scipy.special.gammaln(x))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=hnp.arrays(float, st.integers(0, 12), elements=LGAM_ARGUMENTS),
+       k=LGAM_ARGUMENTS)
+def test_ln_factorial_and_ln_binomial_are_bitwise_gammaln(n, k):
+    """Table hits and the scalar fallback mix freely inside one array."""
+    gammaln = scipy.special.gammaln
+    assert _same_bits(ln_factorial(n), gammaln(n + 1.0))
+    with np.errstate(invalid="ignore"):  # inf - inf at the poles, on both sides
+        assert _same_bits(ln_binomial(n, k),
+                          gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(0, 3000).map(float) | LGAM_ARGUMENTS,
+       k=hnp.arrays(float, st.integers(0, 12),
+                    elements=st.integers(-2, 6002).map(lambda h: h / 2.0) | LGAM_ARGUMENTS))
+def test_ln_binomial_of_one_n_is_bitwise_gammaln(n, k):
+    """A scalar n reads the cached row of binomial(n, k) where every 2k is an
+    integer in [0, 2n], and falls back to three log-Gammas elsewhere."""
+    gammaln = scipy.special.gammaln
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(ln_binomial(n, k),
+                          gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
+
+
+XLOGY_Y = (st.floats(0.0, 1e3) | st.floats(0.0, 1e-300, allow_subnormal=True)
+           | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+           | st.sampled_from([0.0, -0.0, 5e-324, 1.0, math.nan, math.inf]))
+XLOGY_N = st.integers(0, 4000).map(float) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(n=XLOGY_N | st.just(0.0), y=XLOGY_Y)
+def test_xlogy_is_bitwise_scipy(n, y):
+    ours = xlogy(n, y)
+    theirs = scipy.special.xlogy(n, y)
+    assert type(ours) is type(theirs)
+    assert _same_bits(ours, theirs)
+    assert _same_bits(xlogy(n, y, _libm_log(y)), theirs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=hnp.arrays(float, st.integers(1, 6), elements=XLOGY_N),
+       y=hnp.arrays(float, st.tuples(st.integers(1, 30), st.just(1)), elements=XLOGY_Y))
+def test_xlogy_broadcasts_one_log_per_y_bitwise(n, y):
+    assert _same_bits(xlogy(n, y), scipy.special.xlogy(n, y))
+
+
 def _module_trees():
     for path in sorted((Path(__file__).parents[1] / "src" / "pawclock").glob("*.py")):
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
@@ -344,3 +431,17 @@ def test_fock_algebra_lives_only_in_coherent():
         if module != "coherent.py":
             assert not names & log_gammas, f"{module} computes a log-Gamma itself"
     assert fock_kernels == {("coherent.py", "_log_fock_density")}
+
+
+def test_no_module_imports_scipy():
+    """scipy is a test oracle only: nothing under src/ imports it."""
+    for path in sorted((Path(__file__).parents[1] / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(module.partition(".")[0] == "scipy" for module in modules), \
+                f"{path.name} imports {ast.unparse(node)}"

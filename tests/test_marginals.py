@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
-from scipy.special import betainc, gammaincc
+from scipy.special import betainc, gammainc, gammaincc, gammaln
 
 from pawclock import marginals
 from pawclock.classical import theta_of_energy
@@ -20,6 +20,7 @@ from pawclock.marginals import (
     GridAxis,
     InterferenceReport,
     _log_clock_overlap,
+    _trapezoid,
     _worker_count,
     classical_limit_section,
     clock_interference_factor,
@@ -167,21 +168,28 @@ def test_phase_space_matches_per_cell_sweep_bitwise(state, q_axis, p_axis):
 
 def test_phase_space_evaluates_each_branch_once_per_distinct_radius(monkeypatch):
     """Dense M = 10 on the default axes: 15 kernel calls of 146,417 radii each,
-    not of the 641,601 cells."""
+    not of the 641,601 cells, all reading one libm log of those radii."""
     state = dense_family_state(10)
-    kernel = marginals._log_fock_density
-    sizes = []
+    kernel, libm_log = marginals._log_fock_density, marginals._libm_log
+    sizes, logs = [], []
 
-    def counting_kernel(u, n):
+    def counting_kernel(u, log_u, n):
         sizes.append(np.size(u))
-        return kernel(u, n)
+        assert log_u is logs[-1]
+        return kernel(u, log_u, n)
+
+    def counting_log(y):
+        logs.append(libm_log(y))
+        return logs[-1]
 
     monkeypatch.setattr(marginals, "_log_fock_density", counting_kernel)
+    monkeypatch.setattr(marginals, "_libm_log", counting_log)
     marginal_phase_space(state)
     q_axis, p_axis = default_phase_space_axes()
     u = 0.5 * state.mass * (q_axis.values[:, None] ** 2 + p_axis.values[None, :] ** 2)
     assert np.unique(u).size == 146_417
     assert sizes == [146_417] * len(state.n_values)
+    assert [log_u.size for log_u in logs] == [146_417]
 
 
 def test_phase_space_peak_memory_stays_below_four_grids():
@@ -291,6 +299,58 @@ def test_marginals_are_non_negative_with_unit_mass(state):
     x_stop = min(energy.axes[0].stop / (2.0 * float(state.ratios.kappa)), 1.0)
     inside = np.sum(weights * betainc(k + 1.0, state.two_j - k + 1.0, x_stop))
     assert energy.mass() == pytest.approx(inside, abs=3e-5)
+
+
+def _strip_mass(n: int, x_stop: float) -> float:
+    """Mass of Fock level n's phase-space density (M/2pi) e^-u u^n/n! on |x| <= x_stop.
+
+    With x = sqrt(M/2) Q and y = sqrt(M/2) P, u = x^2 + y^2; expanding
+    (x^2 + y^2)^n binomially leaves one Gamma integral in y and an incomplete
+    Gamma P(k + 1/2, x_stop^2) in x for each k.
+    """
+    k = np.arange(n + 1.0)
+    log_weight = (gammaln(k + 0.5) + gammaln(n - k + 0.5) - gammaln(k + 1.0)
+                  - gammaln(n - k + 1.0) - math.log(math.pi))
+    return min(1.0, float(np.sum(np.exp(log_weight) * gammainc(k + 0.5, x_stop ** 2))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(state=ridge_states())
+@example(state=dense_family_state(10))
+@example(state=dense_family_state(40))
+def test_space_time_columns_have_unit_mass_less_the_window_tail(state):
+    """Each t-column of D(Q, t) integrates over Q to eps/(2 pi) times the mass
+    S = sum_m |c_m|^2 S_m of the branches on the window |Q| <= 2.5, and so do
+    i1 + i2.  The cross term integrates to 0 over the plane, since Fock levels
+    are orthogonal, so on the window it is bounded by what lies outside it:
+    |sum over pairs| <= (sum_m |c_m| sqrt(1 - S_m))^2.
+
+    The trapezoid in Q adds about h^2/12 |f'| at each end of the window,
+    estimated from the diagonal profile f; the tolerance is twice that plus
+    1e-13.  Measured over these 32 examples: i1 + i2 miss S by at most 1.01
+    times the end term where it exceeds 1e-13, else by at most 2.6e-14; the
+    columns exceed cross bound plus twice the end term by at most 2.8e-14,
+    and the cross term its bound by at most 6.6e-17.
+    """
+    t_axis = GridAxis("t", 0.0, default_time_axis(state).stop, 9)
+    grid, report = marginal_space_time(state, t_axis=t_axis)
+    q = grid.axes[0].values
+    scale = state.clock.epsilon / (2.0 * math.pi)
+    moduli = np.abs(state.amplitudes)
+    inside = np.array([_strip_mass(n, math.sqrt(state.mass / 2.0) * q[-1])
+                       for n in state.n_values])
+    mass = float(np.sum(moduli ** 2 * inside))
+    cross_bound = float(np.sum(moduli * np.sqrt(1.0 - inside)) ** 2)
+    diagonal = space_time_diagonal(state, q) / scale
+    h = q[1] - q[0]
+    tol = 1e-13 + 2.0 * h / 12.0 * (abs(diagonal[1] - diagonal[0])
+                                     + abs(diagonal[-1] - diagonal[-2]))
+
+    assert abs((report.i1 + report.i2) / scale - mass) <= tol
+    columns = _trapezoid(grid.values, q, axis=0) / scale
+    assert np.all(np.abs(columns - mass) <= cross_bound + tol)
+    cross = _trapezoid(grid.values / scale - diagonal[:, None], q, axis=0)
+    assert np.all(np.abs(cross) <= cross_bound + 1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,47 @@ def test_state_document_rejects_unknown_and_missing_keys():
         state_from_dict(bad_entry)
 
 
+SPIN3_ENTRY = {"m_plus_J": 2, "re": 0.5, "im": 0.0}
+MALFORMED_DOCUMENTS = {
+    "not an object": [],
+    "ratio an integer": {"epsilon_over_omega": 3},
+    "ratio of one entry": {"epsilon_over_omega": [3]},
+    "ratio a string": {"epsilon_over_omega": "3/4"},
+    "ratio not integral": {"epsilon_over_omega": ["a", 4]},
+    "zero denominator": {"epsilon_over_omega": [3, 0]},
+    "two_J null": {"two_J": None},
+    "two_J a string": {"two_J": "six"},
+    "M infinite": {"M": math.inf},
+    "M a list": {"M": [1]},
+    "coefficients an integer": {"coefficients": 5},
+    "entry an integer": {"coefficients": [5]},
+    "entry a string": {"coefficients": ["re"]},
+    "entry missing im": {"coefficients": [{"m_plus_J": 2, "re": 1.0}]},
+    "re a string": {"coefficients": [{**SPIN3_ENTRY, "re": "x"}]},
+    "im null": {"coefficients": [{**SPIN3_ENTRY, "im": None}]},
+    "index a string": {"coefficients": [{**SPIN3_ENTRY, "m_plus_J": "two"}]},
+    "index null": {"coefficients": [{**SPIN3_ENTRY, "m_plus_J": None}]},
+    "re not finite": {"coefficients": [{**SPIN3_ENTRY, "re": math.nan}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_state_documents_raise_value_error(case):
+    """Every malformed mutation of a state_to_dict document raises plain ValueError."""
+    change = MALFORMED_DOCUMENTS[case]
+    document = ({**state_to_dict(spin3_pair_state()), **change}
+                if isinstance(change, dict) else change)
+    with pytest.raises(ValueError) as excinfo:
+        state_from_dict(json.loads(json.dumps(document)))
+    assert excinfo.type is ValueError, excinfo.value
+
+
+def test_well_formed_state_that_cannot_exist_keeps_its_error():
+    document = {**state_to_dict(spin3_pair_state()), "two_J": 3}
+    with pytest.raises(NotAdmissible):
+        state_from_dict(document)
+
+
 def test_serialization_requires_unit_omega():
     state = spin3_pair_state(omega=2.0)
     with pytest.raises(ValueError):
