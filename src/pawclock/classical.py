@@ -97,7 +97,7 @@ def beta_amplitude(state: PawState, point: SphereCoordinate,
     for i, (k, c) in enumerate(state.coefficients):
         clock = scs_overlap(point, state.two_j, k)
         oscillator = hcs_overlap(alpha, state.mass, state.n_values[i])
-        logs[i] = state._log_moduli[i] + clock.log_magnitude + oscillator.log_magnitude
+        logs[i] = math.log(abs(c)) + clock.log_magnitude + oscillator.log_magnitude
         phases[i] = cmath.phase(c) + clock.phase + oscillator.phase
     peak = float(np.max(logs))
     if peak == -math.inf:

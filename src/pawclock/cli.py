@@ -675,7 +675,10 @@ def _add_settings_flag(parser: argparse.ArgumentParser, flag: str, section: str,
                         metavar=key.upper() if key else "KEY=VALUE", help=help)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it
+    unchanged, and building its ~100 arguments costs more than a small verify."""
     parser = argparse.ArgumentParser(
         prog="pawclock",
         description="Page-Wootters magnetic-clock / oscillator simulations")
@@ -766,15 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built once per process: parsing leaves it unchanged,
-    and building its ~100 arguments costs more than a small ``verify``."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -242,20 +242,11 @@ def _ln_gamma_successor(x):
 
 def _half_steps(x: np.ndarray, top: float):
     """The integer array 2x if every element of 2x is an integer in [0, top], else None."""
-    with np.errstate(over="ignore"):
-        halves = x * 2.0
-    whole = np.floor(halves)
-    if ((whole == halves) & (whole >= 0.0) & (whole <= top)).all():
-        return whole.astype(np.intp)
-    return None
-
-
-@functools.lru_cache(maxsize=64)
-def _ln_binomial_row(n: float) -> np.ndarray:
-    """log binomial(n, h/2) for h = 0, 1, ..., 2n, shared and read-only."""
-    k = np.arange(2.0 * n + 1.0) / 2.0
-    return _read_only(_ln_gamma_successor(n) - _ln_gamma_successor(k)
-                      - _ln_gamma_successor(n - k))[0]
+    if x.size and not (x.min() >= 0.0 and x.max() <= 0.5 * top):  # NaN fails both
+        return None
+    halves = x * 2.0
+    index = halves.astype(np.intp)
+    return index if (index == halves).all() else None
 
 
 def ln_factorial(n):
@@ -270,11 +261,6 @@ def ln_binomial(n, k):
     """
     n = np.asarray(n, dtype=float)
     k = np.asarray(k, dtype=float)
-    if n.ndim == 0 and 0.0 <= n < _TABLE_LIMIT / 2 and n == math.floor(n):
-        # one gather from the cached row of this n: every caller's n is a 2J
-        index = _half_steps(k, 2.0 * float(n))
-        if index is not None:
-            return _ln_binomial_row(float(n))[index]
     return _ln_gamma_successor(n) - _ln_gamma_successor(k) - _ln_gamma_successor(n - k)
 
 

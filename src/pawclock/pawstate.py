@@ -158,11 +158,6 @@ class PawState:
         return np.array(self.support, dtype=float)
 
     @cached_property
-    def _log_moduli(self) -> tuple[float, ...]:
-        """log |c_m| per occupied branch, one C-library log each."""
-        return tuple(math.log(abs(c)) for _, c in self.coefficients)
-
-    @cached_property
     def _log_weights(self) -> np.ndarray:
         """log |c_m|^2 per occupied branch."""
         return 2.0 * np.log(np.abs(self.amplitudes))
@@ -376,11 +371,10 @@ def conditional_state(state: PawState, theta: float, phi: float,
             f"log chi^2 = {log_chi2:.1f} at theta = {theta!r}: below tolerance")
 
     entries = []
-    for (k, c), n, log_modulus, log_overlap in zip(state.coefficients, state.n_values,
-                                                  state._log_moduli, lm.tolist()):
-        magnitude = math.exp(log_modulus + log_overlap - 0.5 * log_chi2)
+    for i, (k, c) in enumerate(state.coefficients):
+        magnitude = math.exp(math.log(abs(c)) + float(lm[i]) - 0.5 * log_chi2)
         phase = cmath.phase(c) - k * phi
-        entries.append((n, magnitude * cmath.exp(1j * phase)))
+        entries.append((state.n_values[i], magnitude * cmath.exp(1j * phase)))
     return ConditionalState(theta=theta, phi=phi, amplitudes=tuple(entries),
                             norm_chi2=math.exp(log_chi2))
 
@@ -522,12 +516,20 @@ def state_to_dict(state: PawState) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """An integer field of a state document; int() alone would truncate 10.5 to 10."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"bad state document: {value!r} is not an integer")
+    return int(value)
+
+
 def state_from_dict(document: dict) -> PawState:
     """Rebuild a state from its document form, rejecting unknown keys.
 
     A malformed document (a missing or unknown key, a value of the wrong type,
-    a zero denominator) raises ValueError.  A well-formed document of a state
-    that cannot exist raises what build_state raises for it.
+    a count or ratio entry that is not an integer, a zero denominator) raises
+    ValueError.  A well-formed document of a state that cannot exist raises
+    what build_state raises for it.
     """
     if not isinstance(document, dict):
         raise ValueError(f"bad state document: not an object: {document!r}")
@@ -539,14 +541,14 @@ def state_from_dict(document: dict) -> PawState:
                          f"missing keys {missing}")
     try:
         num, den = document["epsilon_over_omega"]
-        ratio = Fraction(int(num), int(den))
+        ratio = Fraction(_integer(num), _integer(den))
         coefficients = {}
         for entry in document["coefficients"]:
             if not isinstance(entry, dict) or set(entry) != _COEFF_KEYS:
                 raise ValueError(f"bad coefficient entry: {entry!r}")
-            coefficients[int(entry["m_plus_J"])] = complex(entry["re"], entry["im"])
-        two_j, mass = int(document["two_J"]), int(document["M"])
-    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+            coefficients[_integer(entry["m_plus_J"])] = complex(entry["re"], entry["im"])
+        two_j, mass = _integer(document["two_J"]), _integer(document["M"])
+    except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"bad state document: {exc}") from exc
     return assemble_state(two_j=two_j, mass=mass, eps_over_omega=ratio,
                           coefficients=coefficients)

@@ -357,8 +357,8 @@ def test_ln_factorial_and_ln_binomial_are_bitwise_gammaln(n, k):
        k=hnp.arrays(float, st.integers(0, 12),
                     elements=st.integers(-2, 6002).map(lambda h: h / 2.0) | LGAM_ARGUMENTS))
 def test_ln_binomial_of_one_n_is_bitwise_gammaln(n, k):
-    """A scalar n reads the cached row of binomial(n, k) where every 2k is an
-    integer in [0, 2n], and falls back to three log-Gammas elsewhere."""
+    """A scalar n, as every caller passes (a 2J), against integer and
+    half-integer k: table gathers, mixed with the scalar fallback."""
     gammaln = scipy.special.gammaln
     with np.errstate(invalid="ignore"):
         assert _same_bits(ln_binomial(n, k),

@@ -390,11 +390,13 @@ MALFORMED_DOCUMENTS = {
     "ratio of one entry": {"epsilon_over_omega": [3]},
     "ratio a string": {"epsilon_over_omega": "3/4"},
     "ratio not integral": {"epsilon_over_omega": ["a", 4]},
+    "ratio fractional": {"epsilon_over_omega": [3.9, 4]},
     "zero denominator": {"epsilon_over_omega": [3, 0]},
     "two_J null": {"two_J": None},
     "two_J a string": {"two_J": "six"},
     "M infinite": {"M": math.inf},
     "M a list": {"M": [1]},
+    "M fractional": {"M": 10.5},
     "coefficients an integer": {"coefficients": 5},
     "entry an integer": {"coefficients": [5]},
     "entry a string": {"coefficients": ["re"]},
@@ -403,6 +405,7 @@ MALFORMED_DOCUMENTS = {
     "im null": {"coefficients": [{**SPIN3_ENTRY, "im": None}]},
     "index a string": {"coefficients": [{**SPIN3_ENTRY, "m_plus_J": "two"}]},
     "index null": {"coefficients": [{**SPIN3_ENTRY, "m_plus_J": None}]},
+    "index fractional": {"coefficients": [{**SPIN3_ENTRY, "m_plus_J": 2.7}]},
     "re not finite": {"coefficients": [{**SPIN3_ENTRY, "re": math.nan}]},
 }
 
