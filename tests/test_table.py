@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,14 @@ from pawclock.classical import (
     surviving_configurations,
     write_orbit_csv,
 )
-from pawclock.pawstate import dense_family_state, large_j_pair_state, spin3_pair_state
+from pawclock import table
+from pawclock.marginals import GridAxis, marginal_phase_space
+from pawclock.pawstate import (
+    balanced_two_level_state,
+    dense_family_state,
+    large_j_pair_state,
+    spin3_pair_state,
+)
 from pawclock.table import _BLOCK_ROWS, write_table
 
 # Values whose text is easy to get wrong: both zeros, NaNs of either sign and
@@ -70,6 +78,84 @@ def test_write_table_matches_savetxt(rows, width, pool, distinct, seed):
 def test_write_table_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_table(tmp_path / "ragged.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+    assert not (tmp_path / "ragged.csv").exists()
+
+
+@pytest.mark.parametrize("names, columns", [
+    (["a"], [np.zeros(3), np.ones(3)]),
+    (["a", "b", "c"], [np.zeros(3), np.ones(3)]),
+    (["a"], [np.zeros((3, 2))]),
+    (["a", "b"], [np.zeros(3), np.zeros((3, 2))]),
+    (["a"], [np.float64(1.0)]),
+], ids=["fewer-names", "more-names", "2-D", "2-D-second", "0-D"])
+def test_write_table_rejects_malformed_input_before_writing(tmp_path, names, columns):
+    """A malformed table raises and leaves no file behind."""
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        write_table(path, names, columns)
+    assert not path.exists()
+
+
+def spy_formatting(monkeypatch) -> list[int]:
+    """Record how many values each call of the per-column formatter formats."""
+    counts = []
+    distinct_text = table._distinct_text
+
+    def spy(column):
+        text, inverse = distinct_text(column)
+        counts.append(len(text))
+        return text, inverse
+
+    monkeypatch.setattr(table, "_distinct_text", spy)
+    return counts
+
+
+def default_phase_space_columns():
+    """The Q, P and value columns of the default ``figure marg-pq`` CSV."""
+    grid = marginal_phase_space(balanced_two_level_state(170))
+    q_axis, p_axis = grid.axes
+    return [np.repeat(q_axis.values, p_axis.count), np.tile(p_axis.values, q_axis.count),
+            grid.values.ravel()]
+
+
+def test_each_distinct_value_is_formatted_once_per_table(tmp_path, monkeypatch):
+    """Repeats in different blocks share one text: 5 values over 3 blocks format 5 times."""
+    counts = spy_formatting(monkeypatch)
+    column = (np.arange(3 * _BLOCK_ROWS) % 5).astype(float)
+    got = write_table_bytes(tmp_path / "got.csv", ["c"], [column])
+    assert counts == [5]
+    assert got == savetxt_bytes(tmp_path / "expected.csv", ["c"], [column])
+
+
+def test_default_phase_space_table_formats_its_distinct_values(tmp_path, monkeypatch):
+    counts = spy_formatting(monkeypatch)
+    write_table(tmp_path / "marg-pq.csv", ["Q", "P", "value"], default_phase_space_columns())
+    assert counts == [801, 801, 102273]
+
+
+def test_default_phase_space_table_write_memory(tmp_path):
+    """The writer's peak is within 2.5x the bytes of the float columns it writes."""
+    columns = default_phase_space_columns()
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "marg-pq.csv", ["Q", "P", "value"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sum(column.nbytes for column in columns)
+
+
+def test_phase_space_csv_with_repeats_across_blocks_matches_savetxt(tmp_path):
+    """Each Q row is one block of distinct values; the Q = -1 and Q = 1 rows are equal."""
+    grid = marginal_phase_space(balanced_two_level_state(10), GridAxis("Q", -1.0, 1.0, 3),
+                                GridAxis("P", 0.0, 2.5, _BLOCK_ROWS))
+    assert np.array_equal(grid.values[0].view(np.int64), grid.values[2].view(np.int64))
+    grid.write_csv(tmp_path / "got.csv")
+    q_axis, p_axis = grid.axes
+    expected = savetxt_bytes(tmp_path / "expected.csv", ["Q", "P", "value"],
+                             [np.repeat(q_axis.values, p_axis.count),
+                              np.tile(p_axis.values, q_axis.count), grid.values.ravel()])
+    assert (tmp_path / "got.csv").read_bytes() == expected
 
 
 # ---------------------------------------------------------------------------
