@@ -24,7 +24,7 @@ def _distinct_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
     text = np.array(list(map(b"%.17g".__mod__, distinct.view(np.float64).tolist())),
                     dtype=object)
-    return text, inverse.astype(np.min_scalar_type(distinct.size), copy=False)
+    return text, inverse.astype(np.min_scalar_type(distinct.size))
 
 
 def write_table(path, names, columns) -> None:
