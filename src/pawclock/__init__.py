@@ -6,6 +6,8 @@ coherent-state overlaps in log space, conditional (relational) states and
 their emergent Schroedinger evolution, the classical limit of the clock and
 oscillator, and the quasi-probability marginals that exhibit the two-ridge
 interference pattern.
+
+The names imported below are the public API, each named once.
 """
 
 from .classical import (
@@ -16,15 +18,10 @@ from .classical import (
     beta_amplitude,
     beta_double_integral,
     classical_orbit,
-    clock_energy_expectation,
     energy_of_theta,
     energy_time_coordinate,
     hamilton_residual,
-    mu_of_level,
-    orbit_energy,
     orbit_table,
-    oscillator_energy_expectation,
-    snap_mu_to_level,
     stationary_residual,
     surviving_configurations,
     theta_of_energy,
@@ -32,17 +29,13 @@ from .classical import (
 )
 from .coherent import (
     LogAmplitude,
-    PlaneCoordinate,
     SphereCoordinate,
-    fock_cutoff,
     gauss_legendre,
     hcs_overlap,
     ln_binomial,
     ln_factorial,
-    plane_measure_weight,
     scs_log_magnitude,
     scs_overlap,
-    sphere_measure_weight,
     sphere_quadrature,
 )
 from .constraints import (
@@ -53,11 +46,8 @@ from .constraints import (
     OscillatorSpec,
     PairFamily,
     ReducedRatio,
-    allowed_pair_count,
     brute_force_pairs,
     enumerate_pairs,
-    is_entanglement_admissible,
-    pairs_for,
     reduce_ratio,
 )
 from .marginals import (
@@ -82,7 +72,6 @@ from .pawstate import (
     LOG_CHI_TOL,
     ConditionalState,
     DegenerateTheta,
-    HamiltonianAction,
     NotAdmissible,
     OrderStudy,
     PawState,
@@ -98,11 +87,8 @@ from .pawstate import (
     default_dphi,
     dense_family_state,
     large_j_pair_state,
-    load_state,
     log_chi_squared,
     paw_constraint_residual,
-    save_state,
-    schmidt_rank,
     schrodinger_order_study,
     schrodinger_residual,
     shift_fock_levels,
@@ -113,99 +99,3 @@ from .pawstate import (
 from .table import write_table
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AllowedPair",
-    "ClassicalConfig",
-    "ClockSpec",
-    "ConditionalState",
-    "CouplingRatios",
-    "DegenerateTheta",
-    "DistributionGrid",
-    "EOutOfRange",
-    "EnergyTimeCoordinate",
-    "GridAxis",
-    "HamiltonianAction",
-    "InterferenceReport",
-    "LOG_CHI_TOL",
-    "LogAmplitude",
-    "NoOddOverEvenForm",
-    "NotAdmissible",
-    "OrbitParams",
-    "OrderStudy",
-    "OscillatorSpec",
-    "PairFamily",
-    "PawState",
-    "PlaneCoordinate",
-    "ReducedRatio",
-    "SphereCoordinate",
-    "SurvivingLevel",
-    "UnsupportedIndex",
-    "ZeroState",
-    "allowed_pair_count",
-    "assemble_state",
-    "balanced_two_level_state",
-    "beta_amplitude",
-    "beta_double_integral",
-    "brute_force_pairs",
-    "build_state",
-    "chi_squared",
-    "chi_squared_integral",
-    "chi_squared_terms",
-    "classical_limit_section",
-    "classical_orbit",
-    "clock_energy_expectation",
-    "clock_interference_factor",
-    "conditional_state",
-    "default_dphi",
-    "default_energy_axis",
-    "default_phase_space_axes",
-    "default_time_axis",
-    "dense_family_state",
-    "energy_of_theta",
-    "energy_time_coordinate",
-    "energy_time_density",
-    "enumerate_pairs",
-    "fock_cutoff",
-    "gauss_legendre",
-    "hamilton_residual",
-    "hcs_overlap",
-    "interference_suppression",
-    "is_entanglement_admissible",
-    "large_j_pair_state",
-    "ln_binomial",
-    "ln_factorial",
-    "load_state",
-    "log_chi_squared",
-    "marginal_energy_time",
-    "marginal_phase_space",
-    "marginal_space_time",
-    "mu_of_level",
-    "orbit_energy",
-    "orbit_table",
-    "oscillator_energy_expectation",
-    "oscillator_interference_factor",
-    "pairs_for",
-    "paw_constraint_residual",
-    "plane_measure_weight",
-    "reduce_ratio",
-    "save_state",
-    "schmidt_rank",
-    "schrodinger_order_study",
-    "schrodinger_residual",
-    "scs_log_magnitude",
-    "scs_overlap",
-    "shift_fock_levels",
-    "snap_mu_to_level",
-    "space_time_diagonal",
-    "sphere_measure_weight",
-    "sphere_quadrature",
-    "spin3_pair_state",
-    "state_from_dict",
-    "state_to_dict",
-    "stationary_residual",
-    "surviving_configurations",
-    "theta_of_energy",
-    "write_orbit_csv",
-    "write_table",
-]

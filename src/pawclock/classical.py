@@ -51,17 +51,6 @@ def energy_of_theta(clock: ClockSpec, theta) -> float:
     return clock.epsilon * (clock.two_j / 2.0) * (1.0 - np.cos(theta))
 
 
-def clock_energy_expectation(clock: ClockSpec, theta) -> float:
-    """Coherent-state expectation of the clock Hamiltonian; equals energy_of_theta."""
-    return energy_of_theta(clock, theta)
-
-
-def oscillator_energy_expectation(oscillator: OscillatorSpec, alpha: complex) -> float:
-    """Coherent-state expectation omega*(M|alpha|^2 + 1/2)."""
-    u = oscillator.mass * (alpha.real ** 2 + alpha.imag ** 2)
-    return oscillator.omega * (u + 0.5)
-
-
 def energy_time_coordinate(clock: ClockSpec, oscillator: OscillatorSpec,
                            point: SphereCoordinate) -> EnergyTimeCoordinate:
     """Map a sphere point to the dimensionless energy-time chart."""
@@ -243,23 +232,21 @@ def classical_orbit(params: OrbitParams, t_grid) -> list[ClassicalConfig]:
 ORBIT_COLUMNS = ("E", "t", "q", "p", "Q", "P")
 
 
-def orbit_table(state: PawState, samples: int = 256, eta: float | None = None,
-                phi0: float = 0.0) -> tuple[np.ndarray, ...]:
+def orbit_table(state: PawState, samples: int = 256) -> tuple[np.ndarray, ...]:
     """Orbits of every surviving level over one oscillator period, as columns.
 
     Returns the six columns E, t, q, p, Q, P (see ORBIT_COLUMNS), one row per
     sample, level after level in the order of ``surviving_configurations``.
     Energies use the large-M asymptote omega*n, so the dimensionless radii
     are exactly sqrt(2n/M) as in the dense-orbit picture.  All levels share
-    one phase grid, so cos and sin are taken once per sample, with ``math``
-    as in ``classical_orbit``; each level is that grid scaled by its
-    amplitude, and every entry equals the one ``classical_orbit`` gives.
+    the phase grid M*omega*t (eta = M*omega, phi0 = 0), so cos and sin are
+    taken once per sample, with ``math`` as in ``classical_orbit``; each
+    level is that grid scaled by its amplitude, and every entry equals the
+    one ``classical_orbit`` gives.
     """
     m_omega = state.mass * state.oscillator.omega
-    if eta is None:
-        eta = m_omega
     t_grid = np.linspace(0.0, 2.0 * math.pi / m_omega, samples, endpoint=False)
-    phase = (eta * t_grid + phi0).tolist()
+    phase = (m_omega * t_grid).tolist()
     cos = np.array([math.cos(x) for x in phase])
     sin = np.array([math.sin(x) for x in phase])
     energies = np.array([level.energy_classical
@@ -290,26 +277,7 @@ def hamilton_residual(params: OrbitParams, t: float, dt: float) -> tuple[float, 
     return residual_q, residual_p
 
 
-def orbit_energy(params: OrbitParams, config: ClassicalConfig) -> float:
-    """H(q, p) = p^2/2 + (M*omega)^2 q^2 / 2 at one sampled point."""
-    return 0.5 * config.p ** 2 + 0.5 * (params.m_omega * config.q) ** 2
-
-
 def write_orbit_csv(columns, path) -> None:
     """Write the columns of ``orbit_table`` as CSV rows E,t,q,p,Q,P."""
     write_table(path, ORBIT_COLUMNS, columns)
 
-
-# ---------------------------------------------------------------------------
-# large-J level labeling
-# ---------------------------------------------------------------------------
-
-def mu_of_level(two_j: int, m_plus_j: int) -> float:
-    """Continuous label mu = m/J in [-1, 1] of a clock level."""
-    return (2 * m_plus_j - two_j) / two_j
-
-
-def snap_mu_to_level(two_j: int, mu: float) -> int:
-    """Nearest ladder index m+J to the continuous label mu, clipped to range."""
-    level = round((two_j / 2.0) * (mu + 1.0))
-    return int(min(max(level, 0), two_j))

@@ -78,7 +78,7 @@ from .pawstate import (
     state_from_dict,
     state_to_dict,
 )
-from .coherent import PlaneCoordinate, SphereCoordinate
+from .coherent import SphereCoordinate
 from .table import write_table
 
 # Every grid and tolerance setting, by config section, with the type of its value.
@@ -124,7 +124,6 @@ class ScenarioConfig:
     """Declarative description of a run: state, grids, output, tolerances."""
 
     state: dict | None = None
-    experiment: str | None = None
     grids: dict = field(default_factory=dict)
     out_dir: str = "."
     tolerances: dict = field(default_factory=dict)
@@ -153,11 +152,7 @@ class ScenarioConfig:
         tamper = doc.get("tamper_shift_n", 0)
         if not isinstance(tamper, int) or isinstance(tamper, bool):
             raise ConfigError("'tamper_shift_n' must be an integer")
-        experiment = doc.get("experiment")
-        if experiment is not None and not isinstance(experiment, str):
-            raise ConfigError("'experiment' must be a string")
-        return cls(state=state, experiment=experiment, out_dir=out_dir,
-                   tamper_shift_n=tamper, **sections)
+        return cls(state=state, out_dir=out_dir, tamper_shift_n=tamper, **sections)
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
@@ -167,11 +162,6 @@ class ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(dataclasses.asdict(self), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -229,7 +219,9 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     config = ScenarioConfig() if path is None else ScenarioConfig.load(path)
     for section in _SETTINGS:
         getattr(config, section).update(getattr(args, section, None) or ())
-    config.tamper_shift_n = getattr(args, "tamper_shift_n", 0) or config.tamper_shift_n
+    tamper = getattr(args, "tamper_shift_n", None)
+    if tamper is not None:
+        config.tamper_shift_n = tamper
     return config
 
 
@@ -416,9 +408,8 @@ def cmd_beta(args: argparse.Namespace) -> int:
     config = _load_config(args)
     state = _resolve_state(args, config)
     point = SphereCoordinate(args.theta, args.phi)
-    m_omega = state.mass * state.omega
-    coord = PlaneCoordinate.from_dimensionless(args.big_q, args.big_p, m_omega)
-    amp = beta_amplitude(state, point, coord.alpha)
+    alpha = (args.big_q + 1j * args.big_p) / math.sqrt(2.0)
+    amp = beta_amplitude(state, point, alpha)
     payload = {
         "theta": args.theta,
         "phi": args.phi,
@@ -759,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--phi", type=_FINITE, default=0.7)
     _add_settings_flag(p_verify, "--tol", "tolerances")
     p_verify.add_argument("--tamper-shift-n", dest="tamper_shift_n", type=int,
-                          default=0,
+                          default=None,
                           help="shift every Fock index by this amount before "
                                "checking (diagnostic; breaks the constraint)")
     p_verify.add_argument("--skip-beta", action="store_true",

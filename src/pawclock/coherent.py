@@ -78,48 +78,6 @@ class SphereCoordinate:
             raise ValueError("phi must be non-negative")
 
 
-@dataclass(frozen=True)
-class PlaneCoordinate:
-    """Point alpha on the oscillator plane, with its two canonical charts.
-
-    The physical chart is (q, p) with alpha = sqrt(M*omega/2)*(q + i*p/(M*omega));
-    the dimensionless chart is (Q, P) = (q*sqrt(M*omega), p/sqrt(M*omega)), i.e.
-    alpha = (Q + iP)/sqrt(2).  ``m_omega`` stores the product M*omega.
-    """
-
-    alpha: complex
-    m_omega: float
-
-    def __post_init__(self) -> None:
-        if not self.m_omega > 0:
-            raise ValueError("m_omega must be positive")
-
-    @classmethod
-    def from_position_momentum(cls, q: float, p: float, m_omega: float) -> "PlaneCoordinate":
-        return cls(alpha=math.sqrt(m_omega / 2.0) * (q + 1j * p / m_omega),
-                   m_omega=m_omega)
-
-    @classmethod
-    def from_dimensionless(cls, big_q: float, big_p: float, m_omega: float) -> "PlaneCoordinate":
-        return cls(alpha=(big_q + 1j * big_p) / math.sqrt(2.0), m_omega=m_omega)
-
-    @property
-    def q(self) -> float:
-        return math.sqrt(2.0 / self.m_omega) * self.alpha.real
-
-    @property
-    def p(self) -> float:
-        return math.sqrt(2.0 * self.m_omega) * self.alpha.imag
-
-    @property
-    def big_q(self) -> float:
-        return math.sqrt(2.0) * self.alpha.real
-
-    @property
-    def big_p(self) -> float:
-        return math.sqrt(2.0) * self.alpha.imag
-
-
 # ---------------------------------------------------------------------------
 # log-space combinatorics
 # ---------------------------------------------------------------------------
@@ -387,20 +345,6 @@ def hcs_overlap(alpha: complex, mass: int, n: int) -> LogAmplitude:
 # invariant measures and quadrature
 # ---------------------------------------------------------------------------
 
-def sphere_measure_weight(theta: float, two_j: int) -> float:
-    """Density (2J+1)/(4*pi) * sin(theta) of the sphere measure."""
-    return (two_j + 1) / (4.0 * math.pi) * math.sin(theta)
-
-
-def plane_measure_weight(mass: int) -> float:
-    """Constant density M/(2*pi) of the plane measure d(mu) = (M/2pi) d(alpha) d(alpha*).
-
-    With d(alpha) d(alpha*) = 2 dRe(alpha) dIm(alpha) this makes
-    integral d(mu)(alpha) |<alpha|n>|^2 = 1 for every Fock level.
-    """
-    return mass / (2.0 * math.pi)
-
-
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.flags.writeable = False
@@ -429,7 +373,3 @@ def sphere_quadrature(two_j: int):
     x, w = gauss_legendre(max(256, two_j // 2 + 2))
     return np.arccos(x), (two_j + 1) / 2.0 * w
 
-
-def fock_cutoff(u: float) -> int:
-    """Truncation level beyond which the Poisson weights of <alpha|n> are negligible."""
-    return int(u + 12.0 * math.sqrt(u) + 30.0) + 1

@@ -48,10 +48,6 @@ class ClockSpec:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 
-    @property
-    def j(self) -> float:
-        return self.two_j / 2.0
-
     def level_energy(self, m_plus_j: int) -> float:
         """Energy eps*(m+J) of the clock level with ladder index m+J."""
         return self.epsilon * m_plus_j
@@ -125,10 +121,6 @@ class ReducedRatio:
         if gcd(2 * self.i_n + 1, 2 * self.i_m) != 1:
             raise ValueError("(2*i_n+1)/(2*i_m) must be in lowest terms")
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(2 * self.i_n + 1, 2 * self.i_m)
-
 
 @dataclass(frozen=True)
 class AllowedPair:
@@ -164,9 +156,6 @@ class PairFamily:
     def mn_pairs(self) -> list[tuple[Fraction, int]]:
         """The family as explicit (m, n) values."""
         return [(self.m_fraction(p), p.n) for p in self.pairs]
-
-    def m_plus_j_values(self) -> list[int]:
-        return [p.m_plus_j for p in self.pairs]
 
 
 def reduce_ratio(kappa_r: Fraction | int | str | tuple) -> ReducedRatio:
@@ -208,11 +197,6 @@ def enumerate_pairs(ratio: ReducedRatio, two_j: int) -> PairFamily:
     return PairFamily(ratio=ratio, two_j=two_j, pairs=pairs)
 
 
-def pairs_for(kappa_r: Fraction | int | str, two_j: int) -> PairFamily:
-    """Reduce kappa_r and enumerate in one step."""
-    return enumerate_pairs(reduce_ratio(kappa_r), two_j)
-
-
 def brute_force_pairs(kappa_r: Fraction | int | str, two_j: int,
                       n_max: int) -> list[tuple[Fraction, int]]:
     """Independent oracle: scan every ladder index and solve for n exactly.
@@ -230,17 +214,3 @@ def brute_force_pairs(kappa_r: Fraction | int | str, two_j: int,
         if n.denominator == 1 and 0 <= n <= n_max:
             found.append((Fraction(2 * m_plus_j - two_j, 2), int(n)))
     return found
-
-
-def is_entanglement_admissible(family: PairFamily) -> bool:
-    """True iff the family supports an entangled state (at least two pairs).
-
-    Equivalent to the closed-form predicate J >= 3*i_m/2, i.e.
-    two_j >= 3*i_m.
-    """
-    return len(family.pairs) >= 2
-
-
-def allowed_pair_count(ratio: ReducedRatio, two_j: int) -> int:
-    """Closed-form |pairs| = floor(J/i_m - 1/2) + 1, clipped at zero."""
-    return max(0, (two_j - ratio.i_m) // (2 * ratio.i_m) + 1)

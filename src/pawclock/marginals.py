@@ -59,6 +59,8 @@ class ConfigError(ValueError):
 
 # Q rows per block of the space-time kernel; blocks start at multiples of it.
 _ROW_BLOCK = 8
+# Gauss-Legendre momentum nodes of the space-time marginal by default.
+_P_ORDER = 400
 # sqrt of the smallest normal double: products of larger numbers stay normal.
 _FLUSH = math.sqrt(sys.float_info.min)
 
@@ -311,14 +313,11 @@ def oscillator_interference_factor(n1: int, n2: int) -> float:
 
 
 def interference_suppression(two_j: int, m1_plus_j: int, m2_plus_j: int,
-                             mass: int, n1: int, n2: int) -> InterferenceReport:
+                             n1: int, n2: int) -> InterferenceReport:
     """Analytic decay factors of the (m1,n1)x(m2,n2) interference term.
 
-    ``mass`` is accepted alongside the indices for validation and interface
-    symmetry; both factors depend only on the level indices themselves.
+    Both factors depend only on the level indices, not on the mass.
     """
-    if mass < 1:
-        raise ValueError("mass must be a positive integer")
     for k in (m1_plus_j, m2_plus_j):
         if not 0 <= k <= two_j:
             raise ValueError(f"ladder index {k} outside 0..{two_j}")
@@ -431,10 +430,10 @@ def _space_time_rows(state: PawState, q_values: np.ndarray, p_nodes: np.ndarray,
             np.concatenate([part[1] for part in parts]))
 
 
-def space_time_diagonal(state: PawState, q_values, p_order: int = 400) -> np.ndarray:
+def space_time_diagonal(state: PawState, q_values) -> np.ndarray:
     """Static part of the space-time marginal along Q (cross terms excluded)."""
     q_values = np.asarray(q_values, dtype=float)
-    p_nodes, p_weights = _momentum_quadrature(state, p_order)
+    p_nodes, p_weights = _momentum_quadrature(state, _P_ORDER)
     branch, _ = _space_time_rows(state, q_values, p_nodes, p_weights)
     prefactor = state.clock.epsilon / (2.0 * math.pi)
     plane_norm = state.mass / (2.0 * math.pi)
@@ -442,7 +441,7 @@ def space_time_diagonal(state: PawState, q_values, p_order: int = 400) -> np.nda
 
 
 def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
-                        t_axis: GridAxis | None = None, p_order: int = 400,
+                        t_axis: GridAxis | None = None, p_order: int = _P_ORDER,
                         ) -> tuple[DistributionGrid, InterferenceReport]:
     """Space-time marginal D(Q, t) with its diagonal/interference split.
 

@@ -18,7 +18,6 @@ so states remain usable up to 2J above one thousand.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -60,30 +59,6 @@ class ZeroState(ValueError):
 
 class DegenerateTheta(ValueError):
     """chi^2(theta) vanishes here, so no conditional state exists."""
-
-
-@dataclass(frozen=True)
-class HamiltonianAction:
-    """Diagonal action of the two commuting Hamiltonians on the pair basis.
-
-    The clock Hamiltonian acts as eps*(m+J) on |J, m> (zero on the bottom
-    level) and the oscillator Hamiltonian as omega*(n+1/2) on |n>.  On every
-    allowed pair the two eigenvalues coincide, which is exactly the
-    stationarity constraint.
-    """
-
-    clock: ClockSpec
-    oscillator: OscillatorSpec
-
-    def clock_eigenvalue(self, m_plus_j: int) -> float:
-        return self.clock.level_energy(m_plus_j)
-
-    def oscillator_eigenvalue(self, n: int) -> float:
-        return self.oscillator.level_energy(n)
-
-    def kernel_mismatch(self, pair: AllowedPair) -> float:
-        """Float eigenvalue gap on one pair; zero on any constraint solution."""
-        return self.clock_eigenvalue(pair.m_plus_j) - self.oscillator_eigenvalue(pair.n)
 
 
 @dataclass(frozen=True)
@@ -136,12 +111,6 @@ class PawState:
 
     def n_for(self, m_plus_j: int) -> int:
         return self.pair_for(m_plus_j).n
-
-    def coefficient(self, m_plus_j: int) -> complex:
-        for k, c in self.coefficients:
-            if k == m_plus_j:
-                return c
-        raise UnsupportedIndex(m_plus_j)
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -344,12 +313,6 @@ class ConditionalState:
     def vector(self) -> np.ndarray:
         return np.array([a for _, a in self.amplitudes], dtype=complex)
 
-    def amplitude(self, n: int) -> complex:
-        for level, a in self.amplitudes:
-            if level == n:
-                return a
-        raise KeyError(n)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
 
@@ -475,23 +438,6 @@ def shift_fock_levels(state: PawState, delta: int) -> PawState:
     return forged
 
 
-def schmidt_rank(state: PawState, tol: float = 1e-12) -> int:
-    """Schmidt rank of the state across the clock/oscillator split.
-
-    Because each occupied clock level is paired with a distinct Fock level,
-    the coefficient matrix is a permuted diagonal and the rank equals the
-    number of occupied branches; the SVD below verifies that rather than
-    assuming it.
-    """
-    size = len(state.support)
-    columns = {n: j for j, n in enumerate(sorted(set(state.n_values)))}
-    matrix = np.zeros((size, len(columns)), dtype=complex)
-    for i, (_, c) in enumerate(state.coefficients):
-        matrix[i, columns[state.n_values[i]]] = c
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(singular > tol * singular[0]))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -552,14 +498,3 @@ def state_from_dict(document: dict) -> PawState:
         raise ValueError(f"bad state document: {exc}") from exc
     return assemble_state(two_j=two_j, mass=mass, eps_over_omega=ratio,
                           coefficients=coefficients)
-
-
-def save_state(state: PawState, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(state_to_dict(state), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_state(path) -> PawState:
-    with open(path, encoding="utf-8") as handle:
-        return state_from_dict(json.load(handle))

@@ -15,22 +15,17 @@ from pawclock.classical import (
     beta_amplitude,
     beta_double_integral,
     classical_orbit,
-    clock_energy_expectation,
     energy_of_theta,
     energy_time_coordinate,
     hamilton_residual,
-    mu_of_level,
-    orbit_energy,
     orbit_table,
-    oscillator_energy_expectation,
-    snap_mu_to_level,
     stationary_residual,
     surviving_configurations,
     theta_of_energy,
     write_orbit_csv,
 )
 from pawclock.coherent import SphereCoordinate, hcs_overlap, scs_overlap
-from pawclock.constraints import enumerate_pairs, reduce_ratio
+from pawclock.constraints import OscillatorSpec, enumerate_pairs, reduce_ratio
 from pawclock.pawstate import (
     assemble_state,
     balanced_two_level_state,
@@ -49,7 +44,6 @@ def test_energy_of_theta_endpoints():
     assert energy_of_theta(state.clock, 0.0) == 0.0
     # eps*J*(1 - cos(pi)) = 2*eps*J = 2*(3/4)*3
     assert energy_of_theta(state.clock, math.pi) == pytest.approx(4.5)
-    assert clock_energy_expectation(state.clock, math.pi) == pytest.approx(4.5)
 
 
 def test_energy_of_theta_reference_angles():
@@ -80,9 +74,13 @@ def test_energy_time_coordinate_chart():
 
 
 def test_oscillator_energy_expectation():
-    state = spin3_pair_state()
-    assert oscillator_energy_expectation(state.oscillator, 0.0) == pytest.approx(0.5)
-    assert oscillator_energy_expectation(state.oscillator, 2.0 + 0.0j) == pytest.approx(4.5)
+    """<alpha|H|alpha> = sum_n |<alpha|n>|^2 omega(n + 1/2) = omega(M|alpha|^2 + 1/2)."""
+    for mass, alpha in ((1, 0.0j), (1, 2.0 + 0.0j), (170, cmath.rect(1.1, 0.4))):
+        oscillator = OscillatorSpec(mass=mass, omega=0.7)
+        expectation = sum(hcs_overlap(alpha, mass, n).magnitude_squared
+                          * oscillator.level_energy(n) for n in range(600))
+        expected = 0.7 * (mass * abs(alpha) ** 2 + 0.5)
+        assert expectation == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,8 @@ def test_classical_orbit_conserves_energy():
     params = OrbitParams(energy=37.0, eta=170.0, phi0=0.4, m_omega=170.0)
     t_grid = np.linspace(0.0, 2.0 * math.pi / 170.0, 64, endpoint=False)
     for config in classical_orbit(params, t_grid):
-        assert orbit_energy(params, config) == pytest.approx(37.0, rel=1e-12)
+        energy = 0.5 * config.p ** 2 + 0.5 * (params.m_omega * config.q) ** 2
+        assert energy == pytest.approx(37.0, rel=1e-12)
 
 
 def test_classical_orbit_dimensionless_radius():
@@ -252,16 +251,3 @@ def test_write_orbit_csv(tmp_path):
     assert len(lines) == 1 + len(table[0])
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == table[0][0]
-
-
-# ---------------------------------------------------------------------------
-# level labels
-# ---------------------------------------------------------------------------
-
-def test_mu_label_round_trip():
-    two_j = 510
-    for k in (0, 171, 341, 510):
-        assert snap_mu_to_level(two_j, mu_of_level(two_j, k)) == k
-    assert mu_of_level(6, 3) == 0.0
-    assert snap_mu_to_level(6, 1.7) == 6  # clipped
-    assert snap_mu_to_level(6, -1.7) == 0

@@ -11,7 +11,7 @@ import pytest
 
 import pawclock
 from pawclock import marginals
-from pawclock.cli import ScenarioConfig, build_parser, main
+from pawclock.cli import build_parser, main
 
 BASE = [sys.executable, "-m", "pawclock"]
 SPIN3 = ["--two-j", "6", "--m", "1", "--kappa-r", "3/4"]
@@ -149,7 +149,7 @@ def test_degenerate_theta_exits_one():
 def test_log_chi_tolerance_from_flag_and_config(tmp_path):
     """--tol and the config's tolerances both lower the cut; the flag wins."""
     config = tmp_path / "tolerances.json"
-    ScenarioConfig(tolerances={"log_chi": -2000}).save(config)
+    config.write_text(json.dumps({"tolerances": {"log_chi": -2000}}))
     assert run_cli("conditional", *FAR_READING, "--tol", "log_chi=-2000").returncode == 0
     assert run_cli("conditional", *FAR_READING, "--config", str(config)).returncode == 0
     result = run_cli("conditional", *FAR_READING, "--config", str(config),
@@ -160,7 +160,7 @@ def test_log_chi_tolerance_from_flag_and_config(tmp_path):
 
 def test_verify_reads_config_tolerance(tmp_path):
     config = tmp_path / "tolerances.json"
-    ScenarioConfig(tolerances={"log_chi": -2000}).save(config)
+    config.write_text(json.dumps({"tolerances": {"log_chi": -2000}}))
     result = run_cli("verify", *FAR_READING, "--skip-beta", "--config", str(config))
     report = json.loads(result.stdout)
     norm = next(c for c in report["checks"] if c["name"] == "conditional_norm_unit")
@@ -184,6 +184,7 @@ MALFORMED_SETTINGS = {
     "state-zero-denominator": ({"state": spin3_document(epsilon_over_omega=[3, 0])}, []),
     "state-re-string": ({"state": spin3_document(
         coefficients=[{**SPIN3_ENTRIES[0], "re": "x"}, SPIN3_ENTRIES[1]])}, []),
+    "experiment-key": ({"experiment": "anything at all"}, []),
 }
 
 
@@ -370,6 +371,17 @@ def test_verify_detects_tampered_levels():
     assert_checks_are_numeric(report)
 
 
+def test_tamper_flag_overrides_config(tmp_path):
+    """An explicit --tamper-shift-n wins over the config's tamper_shift_n, 0 included."""
+    config = tmp_path / "tamper.json"
+    config.write_text(json.dumps({"tamper_shift_n": 1}))
+    assert run_cli("verify", *SPIN3, "--skip-beta", "--config", str(config)).returncode == 1
+    result = run_cli("verify", *SPIN3, "--skip-beta", "--config", str(config),
+                     "--tamper-shift-n", "0")
+    assert result.returncode == 0, result.stdout
+    assert json.loads(result.stdout)["all_passed"] is True
+
+
 def test_verify_at_degenerate_theta_still_reports():
     """At theta = 0 chi^2 vanishes: both clock-angle checks fail, the rest run."""
     result = run_cli("verify", *SPIN3, "--theta", "0")
@@ -426,32 +438,10 @@ def test_figure_runs_are_deterministic_across_thread_counts(tmp_path, monkeypatc
 # configuration files
 # ---------------------------------------------------------------------------
 
-def test_config_round_trip_is_byte_stable(tmp_path):
-    config = ScenarioConfig(
-        state={"two_J": 6, "epsilon_over_omega": [3, 4], "M": 1,
-               "coefficients": [{"m_plus_J": 2, "re": 1.0, "im": 0.0},
-                                {"m_plus_J": 6, "re": 1.0, "im": 0.0}]},
-        experiment="chi2",
-        grids={"theta_count": 64},
-        out_dir=str(tmp_path),
-    )
-    first = tmp_path / "first.json"
-    second = tmp_path / "second.json"
-    config.save(first)
-    ScenarioConfig.load(first).save(second)
-    assert first.read_bytes() == second.read_bytes()
-
-
 def test_config_drives_chi2_run(tmp_path):
-    config = ScenarioConfig(
-        state={"two_J": 6, "epsilon_over_omega": [3, 4], "M": 1,
-               "coefficients": [{"m_plus_J": 2, "re": 1.0, "im": 0.0},
-                                {"m_plus_J": 6, "re": 1.0, "im": 0.0}]},
-        grids={"theta_count": 64},
-        out_dir=str(tmp_path),
-    )
     path = tmp_path / "scenario.json"
-    config.save(path)
+    path.write_text(json.dumps({"state": spin3_document(), "grids": {"theta_count": 64},
+                                "out_dir": str(tmp_path)}))
     result = run_cli("chi2", "--config", str(path), check=True)
     assert "integral of chi^2 over the sphere measure: 1.000000" in result.stdout
     lines = (tmp_path / "chi2.csv").read_text().splitlines()

@@ -18,20 +18,16 @@ from scipy.stats import poisson
 from pawclock import coherent
 from pawclock.coherent import (
     LogAmplitude,
-    PlaneCoordinate,
     SphereCoordinate,
     _libm_log,
     _log_fock_density,
-    fock_cutoff,
     gauss_legendre,
     hcs_overlap,
     ln_binomial,
     ln_factorial,
     logsumexp,
-    plane_measure_weight,
     scs_log_magnitude,
     scs_overlap,
-    sphere_measure_weight,
     sphere_quadrature,
     xlogy,
 )
@@ -203,9 +199,6 @@ def test_sphere_measure_weight_total():
     two_j = 6
     thetas, weights = sphere_quadrature(two_j)
     assert np.sum(weights) == pytest.approx(two_j + 1, rel=1e-12)
-    theta = 1.1
-    expected = (two_j + 1) / (4.0 * math.pi) * math.sin(theta)
-    assert sphere_measure_weight(theta, two_j) == pytest.approx(expected)
 
 
 def test_hcs_overlap_matches_poisson():
@@ -232,9 +225,9 @@ def test_hcs_overlap_phase_convention():
 
 def test_hcs_levels_resolve_unity_pointwise():
     """sum_n |<alpha|n>|^2 = 1 (the Poisson distribution sums to one)."""
+    levels = np.arange(1000.0)
     for u in (0.3, 4.0, 170.0):
-        cutoff = fock_cutoff(u)
-        total = sum(math.exp(_log_fock_density(u, math.log(u), n)) for n in range(cutoff))
+        total = np.sum(np.exp(_log_fock_density(u, math.log(u), levels)))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -247,30 +240,6 @@ def test_plane_measure_integrates_each_level_to_one():
         total = np.sum(weights * np.exp(_log_fock_density(nodes, _libm_log(nodes), n)
                                         + nodes))
         assert total == pytest.approx(1.0, rel=1e-9), n
-
-
-def test_plane_coordinate_charts_agree():
-    m_omega = 170.0
-    coord = PlaneCoordinate.from_dimensionless(1.2, -0.4, m_omega)
-    assert coord.big_q == pytest.approx(1.2)
-    assert coord.big_p == pytest.approx(-0.4)
-    # alpha = (Q + iP)/sqrt(2)
-    assert coord.alpha == pytest.approx((1.2 - 0.4j) / math.sqrt(2.0))
-    # physical chart: Q = sqrt(M omega) q, P = p / sqrt(M omega)
-    again = PlaneCoordinate.from_position_momentum(coord.q, coord.p, m_omega)
-    assert again.alpha == pytest.approx(coord.alpha)
-    assert coord.q == pytest.approx(1.2 / math.sqrt(m_omega))
-    assert coord.p == pytest.approx(-0.4 * math.sqrt(m_omega))
-
-
-def test_plane_measure_weight_value():
-    assert plane_measure_weight(170) == pytest.approx(170.0 / (2.0 * math.pi))
-
-
-def test_fock_cutoff_covers_poisson_tail():
-    for u in (1.0, 40.0, 170.0):
-        cutoff = fock_cutoff(u)
-        assert poisson.sf(cutoff - 1, u) < 1e-12
 
 
 @st.composite
@@ -445,3 +414,57 @@ def test_no_module_imports_scipy():
                 continue
             assert not any(module.partition(".")[0] == "scipy" for module in modules), \
                 f"{path.name} imports {ast.unparse(node)}"
+
+
+# Exported paper checks that no program code calls yet; each gets its caller
+# from the ROADMAP item named beside it.
+UNCALLED_EXPORTS = {
+    "classical_limit_section",  # item 6
+    "interference_suppression",  # item 6
+    "space_time_diagonal",  # item 6
+    "stationary_residual",  # item 7
+    "hamilton_residual",  # item 7
+    "theta_of_energy",  # item 7
+    "energy_time_coordinate",  # item 7
+    "EnergyTimeCoordinate",  # item 7: what energy_time_coordinate returns
+}
+
+
+def _names_read(tree, skip: str, modules=()) -> set[str]:
+    """Names and attributes ``tree`` reads outside the definition of ``skip``.
+
+    A string "module.name" with ``module`` in ``modules`` counts as a read of
+    name: the benchmark tracer names its spans so.
+    """
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            module, _, name = node.value.rpartition(".")
+            if module in modules:
+                found.add(name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_export_has_a_caller_in_the_program():
+    """Each name pawclock/__init__.py imports is read by another module of the
+    package or by bench/, not only by tests; UNCALLED_EXPORTS are the exceptions."""
+    root = Path(__file__).parents[1]
+    trees = dict(_module_trees())
+    exported = {alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    modules = {name.removesuffix(".py") for name in trees}
+    bench = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "bench").glob("*.py"))]
+    uncalled = {name for name in exported
+                if not any(name in _names_read(tree, name) for tree in trees.values())
+                and not any(name in _names_read(tree, name, modules) for tree in bench)}
+    assert uncalled <= UNCALLED_EXPORTS, sorted(uncalled - UNCALLED_EXPORTS)

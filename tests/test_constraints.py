@@ -14,11 +14,8 @@ from pawclock.constraints import (
     NoOddOverEvenForm,
     OscillatorSpec,
     ReducedRatio,
-    allowed_pair_count,
     brute_force_pairs,
     enumerate_pairs,
-    is_entanglement_admissible,
-    pairs_for,
     reduce_ratio,
 )
 
@@ -26,7 +23,6 @@ from pawclock.constraints import (
 def test_reduce_ratio_odd_over_even():
     ratio = reduce_ratio(Fraction(3, 4))
     assert ratio.i_n == 1 and ratio.i_m == 2
-    assert ratio.value == Fraction(3, 4)
 
     ratio = reduce_ratio("1/2")
     assert ratio.i_n == 0 and ratio.i_m == 1
@@ -68,16 +64,15 @@ def test_golden_family_three_quarters():
         6: [(Fraction(-1), 1), (Fraction(3), 4)],
     }
     for two_j, pairs in expected.items():
-        family = pairs_for(Fraction(3, 4), two_j)
+        family = enumerate_pairs(reduce_ratio(Fraction(3, 4)), two_j)
         assert family.mn_pairs() == pairs, f"2J = {two_j}"
-        assert is_entanglement_admissible(family) == (len(pairs) >= 2)
 
 
 def _assert_enumeration_matches(kappa_r, two_j):
     n_max = math.ceil(kappa_r * two_j) + 1
     expected = brute_force_pairs(kappa_r, two_j, n_max)
     try:
-        found = pairs_for(kappa_r, two_j).mn_pairs()
+        found = enumerate_pairs(reduce_ratio(kappa_r), two_j).mn_pairs()
     except NoOddOverEvenForm:
         found = []
     assert found == expected, f"kappa*r = {kappa_r}, 2J = {two_j}"
@@ -110,41 +105,28 @@ def test_enumeration_matches_brute_force_search():
     _random_ratios_match()
 
 
-def test_pair_count_closed_form():
-    for i_n in range(0, 4):
-        for i_m in range(1, 5):
-            if math.gcd(2 * i_n + 1, 2 * i_m) != 1:
-                continue
-            ratio = ReducedRatio(i_n=i_n, i_m=i_m)
-            for two_j in range(1, 30):
-                family = enumerate_pairs(ratio, two_j)
-                assert len(family) == allowed_pair_count(ratio, two_j)
-
-
 def test_admissibility_threshold():
     """Entanglement needs at least two pairs, i.e. 2J >= 3*i_m."""
-    ratio = reduce_ratio(Fraction(3, 4))  # i_m = 2
-    assert not is_entanglement_admissible(enumerate_pairs(ratio, 5))
-    assert is_entanglement_admissible(enumerate_pairs(ratio, 6))
-    ratio = reduce_ratio(Fraction(1, 2))  # i_m = 1
-    assert not is_entanglement_admissible(enumerate_pairs(ratio, 2))
-    assert is_entanglement_admissible(enumerate_pairs(ratio, 3))
+    for kappa_r, i_m in ((Fraction(3, 4), 2), (Fraction(1, 2), 1), (Fraction(5, 6), 3)):
+        ratio = reduce_ratio(kappa_r)
+        assert ratio.i_m == i_m
+        for two_j in range(1, 4 * i_m):
+            assert (len(enumerate_pairs(ratio, two_j)) >= 2) == (two_j >= 3 * i_m)
 
 
 def test_pair_labels_and_m_fraction():
-    family = pairs_for(Fraction(3, 4), 6)
+    family = enumerate_pairs(reduce_ratio(Fraction(3, 4)), 6)
     first, second = family.pairs
     assert first == AllowedPair(m_plus_j=2, n=1, l=0)
     assert second == AllowedPair(m_plus_j=6, n=4, l=1)
     assert family.m_fraction(first) == Fraction(-1)
     assert family.m_fraction(second) == Fraction(3)
-    assert family.m_plus_j_values() == [2, 6]
 
 
 def test_every_enumerated_pair_satisfies_the_constraint():
     for kappa_r in (Fraction(3, 4), Fraction(1, 2), Fraction(5, 6), Fraction(7, 2)):
         for two_j in (3, 6, 17, 40):
-            family = pairs_for(kappa_r, two_j)
+            family = enumerate_pairs(reduce_ratio(kappa_r), two_j)
             for pair in family:
                 assert kappa_r * pair.m_plus_j == Fraction(2 * pair.n + 1, 2)
                 assert 0 <= pair.m_plus_j <= two_j
@@ -152,7 +134,6 @@ def test_every_enumerated_pair_satisfies_the_constraint():
 
 def test_clock_spec_levels():
     clock = ClockSpec(two_j=6, epsilon=0.75)
-    assert clock.j == 3.0
     assert clock.level_energy(0) == 0.0
     assert clock.level_energy(6) == pytest.approx(4.5)
     with pytest.raises(ValueError):

@@ -377,16 +377,16 @@ def test_oscillator_interference_factor_closed_form():
 
 
 def test_interference_suppression_report():
-    report = interference_suppression(6, 2, 6, mass=1, n1=1, n2=4)
+    report = interference_suppression(6, 2, 6, n1=1, n2=4)
     assert isinstance(report, InterferenceReport)
     assert report.clock_suppression_factor == pytest.approx(math.sqrt(15.0) / 15.0)
     assert report.oscillator_suppression_factor == pytest.approx(
         oscillator_interference_factor(1, 4))
     assert report.i1 is None and report.ratio is None
     with pytest.raises(ValueError):
-        interference_suppression(6, 2, 7, mass=1, n1=1, n2=4)
+        interference_suppression(6, 2, 7, n1=1, n2=4)
     with pytest.raises(ValueError):
-        interference_suppression(6, 2, 6, mass=0, n1=1, n2=4)
+        interference_suppression(6, 2, 6, n1=-1, n2=4)
 
 
 def test_pair_energy_overlap_equals_interference_factor():

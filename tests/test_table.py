@@ -163,26 +163,26 @@ def test_phase_space_csv_with_repeats_across_blocks_matches_savetxt(tmp_path):
 # ---------------------------------------------------------------------------
 
 ORBIT_CASES = [
-    (spin3_pair_state, 64, None, 0.0),
-    (lambda: dense_family_state(20), 256, None, 0.0),
-    (lambda: dense_family_state(10), 37, 2.5, 0.3),
-    (lambda: large_j_pair_state(120), 100, None, -1.2),
+    (spin3_pair_state, 64),
+    (lambda: dense_family_state(20), 256),
+    (lambda: dense_family_state(10), 37),
+    (lambda: large_j_pair_state(120), 100),
 ]
 
 
-@pytest.mark.parametrize("make_state, samples, eta, phi0", ORBIT_CASES)
-def test_orbit_table_equals_classical_orbit_bitwise(make_state, samples, eta, phi0):
-    """Each level's block of rows is bit for bit the orbit classical_orbit samples."""
+@pytest.mark.parametrize("make_state, samples", ORBIT_CASES)
+def test_orbit_table_equals_classical_orbit_bitwise(make_state, samples):
+    """Each level's block of rows is bit for bit the orbit classical_orbit samples
+    with eta = M*omega and phi0 = 0."""
     state = make_state()
-    table = np.column_stack(orbit_table(state, samples=samples, eta=eta, phi0=phi0))
+    table = np.column_stack(orbit_table(state, samples=samples))
     levels = surviving_configurations(state)
     assert table.shape == (len(levels) * samples, 6)
     m_omega = state.mass * state.oscillator.omega
     t_grid = np.linspace(0.0, 2.0 * math.pi / m_omega, samples, endpoint=False)
     for index, level in enumerate(levels):
-        params = OrbitParams(energy=level.energy_classical,
-                             eta=m_omega if eta is None else eta,
-                             phi0=phi0, m_omega=m_omega)
+        params = OrbitParams(energy=level.energy_classical, eta=m_omega, phi0=0.0,
+                             m_omega=m_omega)
         expected = np.array([[c.energy, c.t, c.q, c.p, c.big_q, c.big_p]
                              for c in classical_orbit(params, t_grid)])
         block = table[index * samples:(index + 1) * samples]
