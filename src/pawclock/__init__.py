@@ -31,11 +31,10 @@ from .coherent import (
     LogAmplitude,
     SphereCoordinate,
     gauss_legendre,
-    hcs_overlap,
+    hcs_log_magnitude,
     ln_binomial,
     ln_factorial,
     scs_log_magnitude,
-    scs_overlap,
     sphere_quadrature,
 )
 from .constraints import (

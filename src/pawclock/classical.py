@@ -23,10 +23,9 @@ from .coherent import (
     _libm_log,
     _log_fock_density,
     gauss_legendre,
-    hcs_overlap,
+    hcs_log_magnitude,
     logsumexp,
     scs_log_magnitude,
-    scs_overlap,
     sphere_quadrature,
 )
 from .constraints import ClockSpec, OscillatorSpec
@@ -78,16 +77,18 @@ def beta_amplitude(state: PawState, point: SphereCoordinate,
                    alpha: complex) -> LogAmplitude:
     """Joint coherent-state amplitude sum_m c_m <Omega|J, m><alpha|n_m>.
 
-    Branches are combined by a max-shifted complex sum of log-magnitude terms,
-    so the result is faithful even when every branch underflows a float.
+    Branch m has log magnitude log|c_m| + log|<Omega|J, m>| + log|<alpha|n_m>|
+    and phase arg(c_m) - phi*k_m - n_m*arg(alpha), k_m = m+J.  Branches are
+    combined by a max-shifted complex sum, so the result is faithful even
+    when every branch underflows a float.
     """
-    logs = np.empty(len(state.support))
-    phases = np.empty(len(state.support))
-    for i, (k, c) in enumerate(state.coefficients):
-        clock = scs_overlap(point, state.two_j, k)
-        oscillator = hcs_overlap(alpha, state.mass, state.n_values[i])
-        logs[i] = math.log(abs(c)) + clock.log_magnitude + oscillator.log_magnitude
-        phases[i] = cmath.phase(c) + clock.phase + oscillator.phase
+    amplitudes = state.amplitudes.tolist()
+    arg_alpha = cmath.phase(alpha)
+    logs = (np.array([math.log(abs(c)) for c in amplitudes])
+            + scs_log_magnitude(point.theta, state.two_j, state.support)
+            + hcs_log_magnitude(alpha, state.mass, state.n_values))
+    phases = np.array([cmath.phase(c) - point.phi * k - n * arg_alpha
+                       for c, k, n in zip(amplitudes, state.support, state.n_values)])
     peak = float(np.max(logs))
     if peak == -math.inf:
         return LogAmplitude(-math.inf, 0.0)
@@ -107,11 +108,10 @@ def _branch_norms(state: PawState) -> np.ndarray:
     neither factor overflows at 2J ~ 1100 or n ~ 4000; the deviation of
     S_m * R_m from 1 is the quadrature error of branch m.
     """
-    k = np.array(state.support, dtype=float)
     n = np.array(state.n_values, dtype=float)
 
     thetas, w_sphere = sphere_quadrature(state.two_j)
-    log_s = logsumexp(2.0 * scs_log_magnitude(thetas[:, None], state.two_j, k)
+    log_s = logsumexp(2.0 * scs_log_magnitude(thetas[:, None], state.two_j, state.support)
                       + np.log(w_sphere)[:, None], axis=0)
 
     x, w = gauss_legendre(256)

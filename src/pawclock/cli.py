@@ -196,6 +196,8 @@ _STEP = _checked(float, lambda value: math.isfinite(value) and value > 0.0,
                  "a finite number > 0")
 _ANGLE = _checked(float, lambda value: 0.0 <= value <= math.pi, "an angle in [0, pi]")
 _FINITE = _checked(float, math.isfinite, "a finite number")
+_PHASE = _checked(float, lambda value: math.isfinite(value) and value >= 0.0,
+                  "a finite number >= 0")
 _SPINS = _checked(lambda text: tuple(int(part) for part in text.split(",") if part.strip()),
                   lambda spins: spins and all(j > 0 and j % 3 == 0 for j in spins),
                   "comma-separated positive multiples of 3")
@@ -301,8 +303,9 @@ def _state_summary(state: PawState) -> dict:
                                state.ratios.kappa_r.denominator],
         "kappa": [state.ratios.kappa.numerator, state.ratios.kappa.denominator],
         "branches": [
-            {"m_plus_J": key, "n": state.n_for(key), "weight": abs(value) ** 2}
-            for key, value in state.coefficients
+            {"m_plus_J": key, "n": n, "weight": abs(value) ** 2}
+            for key, n, value in zip(state.support, state.n_values,
+                                     state.amplitudes.tolist())
         ],
     }
 
@@ -380,7 +383,7 @@ def cmd_conditional(args: argparse.Namespace) -> int:
     print(f"theta = {args.theta:.12g}, phi = {args.phi:.12g}, "
           f"chi^2 = {cond.norm_chi2:.12g}")
     print(f"{'n':>6} {'re':>24} {'im':>24} {'prob':>22}")
-    for level, amp in cond.amplitudes:
+    for level, amp in zip(cond.n_values, cond.vector.tolist()):
         print(f"{level:>6} {amp.real:>24.16e} {amp.imag:>24.16e} "
               f"{abs(amp) ** 2:>22.16e}")
     print(f"norm = {cond.norm():.15f}")
@@ -449,7 +452,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args)
     state = _resolve_state(args, config)
     if config.tamper_shift_n:
-        state = shift_fock_levels(state, config.tamper_shift_n)
+        try:
+            state = shift_fock_levels(state, config.tamper_shift_n)
+        except ValueError as exc:
+            raise ConfigError(f"tamper_shift_n = {config.tamper_shift_n}: {exc}") from exc
 
     checks = []
 
@@ -716,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_beta = sub.add_parser("beta", help="joint overlap amplitude at one point")
     _add_state_flags(p_beta)
     p_beta.add_argument("--theta", type=_ANGLE, required=True)
-    p_beta.add_argument("--phi", type=_FINITE, default=0.0)
+    p_beta.add_argument("--phi", type=_PHASE, default=0.0)
     p_beta.add_argument("--big-q", dest="big_q", type=_FINITE, default=0.0,
                         metavar="Q", help="dimensionless position sqrt(M omega) q")
     p_beta.add_argument("--big-p", dest="big_p", type=_FINITE, default=0.0,

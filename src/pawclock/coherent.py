@@ -20,7 +20,6 @@ log per element of y, shared by every n it is broadcast against.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -41,23 +40,8 @@ class LogAmplitude:
     phase: float
 
     @property
-    def magnitude(self) -> float:
-        return math.exp(self.log_magnitude)
-
-    @property
     def magnitude_squared(self) -> float:
         return math.exp(2.0 * self.log_magnitude)
-
-    def to_complex(self) -> complex:
-        if self.log_magnitude == -math.inf:
-            return 0j
-        return cmath.rect(math.exp(self.log_magnitude), self.phase)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "LogAmplitude":
-        if z == 0:
-            return cls(-math.inf, 0.0)
-        return cls(math.log(abs(z)), cmath.phase(z))
 
 
 @dataclass(frozen=True)
@@ -300,18 +284,6 @@ def scs_log_magnitude(theta, two_j: int, m_plus_j):
             + xlogy(k, np.sin(half)))
 
 
-def scs_overlap(omega: SphereCoordinate, two_j: int, m_plus_j: int) -> LogAmplitude:
-    """Spin-coherent-state overlap <Omega|J, m> as a LogAmplitude.
-
-    The phase is -phi*(J+m); the magnitude is the binomially weighted
-    cos/sin product, evaluated in log space so it survives 2J ~ 1100.
-    """
-    if not 0 <= m_plus_j <= two_j:
-        raise ValueError("m_plus_j must lie in 0..two_j")
-    lm = float(scs_log_magnitude(omega.theta, two_j, m_plus_j))
-    return LogAmplitude(log_magnitude=lm, phase=-omega.phi * m_plus_j)
-
-
 def _log_fock_density(u, log_u, n):
     """log |<alpha|n>|^2 = log(e^{-u} u^n / n!) with u = M*|alpha|^2.
 
@@ -325,20 +297,15 @@ def _log_fock_density(u, log_u, n):
     return out
 
 
-def hcs_overlap(alpha: complex, mass: int, n: int) -> LogAmplitude:
-    """Glauber-coherent-state overlap <alpha|n> as a LogAmplitude.
+def hcs_log_magnitude(alpha: complex, mass: int, n):
+    """log |<alpha|n>| for Fock level n (scalar or array) at the plane point alpha.
 
-    Magnitude exp(-M|alpha|^2/2) * (sqrt(M)|alpha|)^n / sqrt(n!); the phase
-    convention is -n*arg(alpha).  The log is taken of sqrt(M)|alpha|, which
+    Equals n*ln(sqrt(M)|alpha|) - M|alpha|^2/2 - ln(n!)/2; the phase of
+    <alpha|n> is -n*arg(alpha).  The log is taken of sqrt(M)|alpha|, which
     stays a normal float where u = M|alpha|^2 underflows (|alpha| < 1e-154).
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if mass < 1:
-        raise ValueError("mass must be a positive integer")
     root = math.sqrt(mass) * abs(alpha)
-    lm = float(xlogy(n, root) - 0.5 * root ** 2 - 0.5 * ln_factorial(n))
-    return LogAmplitude(log_magnitude=lm, phase=-n * cmath.phase(alpha))
+    return xlogy(n, root) - 0.5 * root ** 2 - 0.5 * ln_factorial(n)
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,6 @@ class ClockSpec:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 
-    def level_energy(self, m_plus_j: int) -> float:
-        """Energy eps*(m+J) of the clock level with ladder index m+J."""
-        return self.epsilon * m_plus_j
-
 
 @dataclass(frozen=True)
 class OscillatorSpec:
@@ -78,16 +74,14 @@ class CouplingRatios:
     kappa   = eps*J/(omega*M)
     r       = M/J
     kappa_r = kappa*r = eps/omega
-    kappa_r_j = kappa_r*J = eps*J/omega
     """
 
     kappa: Fraction
     r: Fraction
     kappa_r: Fraction
-    kappa_r_j: Fraction
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0 or self.r <= 0 or self.kappa_r <= 0 or self.kappa_r_j <= 0:
+        if self.kappa <= 0 or self.r <= 0 or self.kappa_r <= 0:
             raise ValueError("all coupling ratios must be positive")
         if self.kappa * self.r != self.kappa_r:
             raise ValueError("kappa_r must equal kappa*r")
@@ -98,8 +92,7 @@ class CouplingRatios:
         """Build the ratio set from the exact ratio eps/omega and the sizes 2J, M."""
         kappa_r = Fraction(eps_over_omega)
         r = Fraction(2 * mass, two_j)
-        return cls(kappa=kappa_r / r, r=r, kappa_r=kappa_r,
-                   kappa_r_j=kappa_r * Fraction(two_j, 2))
+        return cls(kappa=kappa_r / r, r=r, kappa_r=kappa_r)
 
 
 # ---------------------------------------------------------------------------

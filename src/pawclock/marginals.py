@@ -44,7 +44,7 @@ import numpy as np
 from .coherent import (_libm_log, _log_fock_density, gauss_legendre, ln_binomial,
                        ln_factorial, logsumexp, xlogy)
 from .pawstate import PawState
-from .table import write_table
+from .table import _distinct, write_table
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -215,20 +215,9 @@ def marginal_phase_space(state: PawState, q_axis: GridAxis | None = None,
     q2, iq = np.unique(q_axis.values ** 2, return_inverse=True)
     p2, ip = np.unique(p_axis.values ** 2, return_inverse=True)
     u = 0.5 * state.mass * (q2[:, None] + p2[None, :])
-    # The sort temporaries are freed before the branch loop: this call sets the
-    # peak memory of a phase-space run.
-    order = np.argsort(u, axis=None)
-    ranked = u.ravel()[order]
-    first = np.empty(ranked.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    distinct = ranked[first]
-    del u, ranked
-    rank = np.cumsum(first)
-    rank -= 1
-    cell = np.empty_like(order)
-    cell[order] = rank
-    del order, rank, first
+    # u >= 0 holds no -0.0, so its distinct bit patterns are its distinct values
+    distinct, cell = _distinct(u)
+    del u
     log_distinct = _libm_log(distinct)
     values = np.zeros_like(distinct)
     for weight, n in zip(np.abs(state.amplitudes) ** 2, state.n_values):

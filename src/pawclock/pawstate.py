@@ -27,7 +27,6 @@ import numpy as np
 
 from .coherent import logsumexp, scs_log_magnitude, sphere_quadrature
 from .constraints import (
-    AllowedPair,
     ClockSpec,
     CouplingRatios,
     NoOddOverEvenForm,
@@ -61,20 +60,24 @@ class DegenerateTheta(ValueError):
     """chi^2(theta) vanishes here, so no conditional state exists."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PawState:
     """Normalized entangled clock-oscillator state over an allowed-pair family.
 
-    ``coefficients`` holds (m_plus_j, c) entries sorted by m_plus_j, restricted
-    to the occupied (nonzero) branches.  Use build_state/assemble_state rather
-    than the raw constructor: they enforce admissibility and normalization.
+    A state is its branch arrays, one entry per occupied (nonzero) branch in
+    ascending m+J: ``support`` holds the clock ladder indices m+J,
+    ``n_values`` their Fock levels and ``amplitudes`` the normalized
+    coefficients.  Use build_state/assemble_state rather than the raw
+    constructor: they enforce admissibility and normalization.
     """
 
     clock: ClockSpec
     oscillator: OscillatorSpec
     ratios: CouplingRatios
     family: PairFamily
-    coefficients: tuple[tuple[int, complex], ...]
+    support: tuple[int, ...]
+    n_values: tuple[int, ...]
+    amplitudes: np.ndarray
 
     # -- convenience views -------------------------------------------------
 
@@ -85,46 +88,6 @@ class PawState:
     @property
     def mass(self) -> int:
         return self.oscillator.mass
-
-    @property
-    def epsilon(self) -> float:
-        return self.clock.epsilon
-
-    @property
-    def omega(self) -> float:
-        return self.oscillator.omega
-
-    @cached_property
-    def support(self) -> tuple[int, ...]:
-        """Occupied clock ladder indices m+J, ascending."""
-        return tuple(k for k, _ in self.coefficients)
-
-    @cached_property
-    def _pair_index(self) -> dict[int, AllowedPair]:
-        return {pair.m_plus_j: pair for pair in self.family.pairs}
-
-    def pair_for(self, m_plus_j: int) -> AllowedPair:
-        try:
-            return self._pair_index[m_plus_j]
-        except KeyError:
-            raise UnsupportedIndex(m_plus_j) from None
-
-    def n_for(self, m_plus_j: int) -> int:
-        return self.pair_for(m_plus_j).n
-
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
-        """Occupied coefficients as a complex vector aligned with ``support``."""
-        return np.array([c for _, c in self.coefficients], dtype=complex)
-
-    @cached_property
-    def n_values(self) -> tuple[int, ...]:
-        """Fock level of each occupied branch, aligned with ``support``."""
-        return tuple(self.pair_for(k).n for k in self.support)
-
-    @cached_property
-    def _support_array(self) -> np.ndarray:
-        return np.array(self.support, dtype=float)
 
     @cached_property
     def _log_weights(self) -> np.ndarray:
@@ -164,10 +127,10 @@ def build_state(clock: ClockSpec, oscillator: OscillatorSpec,
             f"kappa*r = {kr} admits {len(family.pairs)} pair(s) at 2J = "
             f"{clock.two_j}; an entangled state needs at least two")
 
-    allowed = {pair.m_plus_j for pair in family.pairs}
+    levels = {pair.m_plus_j: pair.n for pair in family.pairs}
     occupied: list[tuple[int, complex]] = []
     for key in sorted(coefficients):
-        if key not in allowed:
+        if key not in levels:
             raise UnsupportedIndex(key)
         value = complex(coefficients[key])
         if not cmath.isfinite(value):
@@ -180,10 +143,11 @@ def build_state(clock: ClockSpec, oscillator: OscillatorSpec,
         raise NotAdmissible("an entangled state needs at least two occupied branches")
 
     norm = math.sqrt(sum(abs(c) ** 2 for _, c in occupied))
-    normalized = tuple((k, c / norm) for k, c in occupied)
+    support = tuple(k for k, _ in occupied)
     ratios = CouplingRatios.from_parameters(kr, clock.two_j, oscillator.mass)
-    return PawState(clock=clock, oscillator=oscillator, ratios=ratios,
-                    family=family, coefficients=normalized)
+    return PawState(clock=clock, oscillator=oscillator, ratios=ratios, family=family,
+                    support=support, n_values=tuple(levels[k] for k in support),
+                    amplitudes=np.array([c / norm for _, c in occupied]))
 
 
 def assemble_state(two_j: int, mass: int, eps_over_omega, coefficients,
@@ -265,7 +229,7 @@ def log_chi_squared(state: PawState, theta):
     without losing the total.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    lm = scs_log_magnitude(theta_arr[..., None], state.two_j, state._support_array)
+    lm = scs_log_magnitude(theta_arr[..., None], state.two_j, state.support)
     out = logsumexp(2.0 * lm + state._log_weights, axis=-1)
     return float(out) if np.isscalar(theta) or theta_arr.ndim == 0 else out
 
@@ -278,7 +242,7 @@ def chi_squared(state: PawState, theta):
 def chi_squared_terms(state: PawState, theta):
     """Per-branch contributions |c_m|^2 |<Omega|J, m>|^2, last axis = branch."""
     theta_arr = np.asarray(theta, dtype=float)
-    lm = scs_log_magnitude(theta_arr[..., None], state.two_j, state._support_array)
+    lm = scs_log_magnitude(theta_arr[..., None], state.two_j, state.support)
     return np.exp(2.0 * lm + state._log_weights)
 
 
@@ -292,53 +256,61 @@ def chi_squared_integral(state: PawState) -> float:
 # conditional dynamics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalState:
     """Normalized oscillator state conditioned on the clock reading (theta, phi).
 
-    ``amplitudes`` holds (n, amplitude) entries sorted by branch; ``norm_chi2``
-    is the chi^2(theta) that normalized them.
+    ``vector`` holds the amplitude of each branch, on the Fock levels
+    ``n_values``; ``norm_chi2`` is the chi^2(theta) that normalized them.
     """
 
     theta: float
     phi: float
-    amplitudes: tuple[tuple[int, complex], ...]
+    n_values: tuple[int, ...]
+    vector: np.ndarray
     norm_chi2: float
-
-    @cached_property
-    def n_values(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.amplitudes)
-
-    @cached_property
-    def vector(self) -> np.ndarray:
-        return np.array([a for _, a in self.amplitudes], dtype=complex)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
+
+
+def _clock_moduli(state: PawState, theta: float,
+                  log_tol: float = LOG_CHI_TOL) -> tuple[list[float], float]:
+    """The conditional branch moduli |c_m <Omega|J, m>| / chi(theta), and log chi^2.
+
+    Both depend on theta alone; phi only turns the phases (``_phased``).  The
+    division happens in log space, so the moduli are exactly normalized even
+    when individual overlaps underflow.  Raises DegenerateTheta where chi^2
+    vanishes (at theta = 0, and at theta = pi when the top level is unoccupied).
+    """
+    lm = scs_log_magnitude(theta, state.two_j, state.support)
+    log_chi2 = float(logsumexp(state._log_weights + 2.0 * lm))
+    if log_chi2 < log_tol:
+        raise DegenerateTheta(
+            f"log chi^2 = {log_chi2:.1f} at theta = {theta!r}: below tolerance")
+    moduli = [math.exp(math.log(abs(c)) + log_overlap - 0.5 * log_chi2)
+              for c, log_overlap in zip(state.amplitudes.tolist(), lm.tolist())]
+    return moduli, log_chi2
+
+
+def _phased(state: PawState, moduli: list[float], phi: float) -> np.ndarray:
+    """The conditional branch amplitudes at clock phase phi: each modulus
+    times e^{i(arg c_m - k_m*phi)}, with k_m = m+J."""
+    return np.array([modulus * cmath.exp(1j * (cmath.phase(c) - k * phi))
+                     for modulus, c, k in zip(moduli, state.amplitudes.tolist(),
+                                              state.support)])
 
 
 def conditional_state(state: PawState, theta: float, phi: float,
                       log_tol: float = LOG_CHI_TOL) -> ConditionalState:
     """Project the global state on the clock coherent state at (theta, phi).
 
-    The branch amplitudes are c_m <Omega|J, m> / chi(theta); division happens
-    in log space, so the result is exactly normalized even when individual
-    overlaps underflow.  Raises DegenerateTheta where chi^2 vanishes (at
-    theta = 0, and at theta = pi when the top level is unoccupied).
+    The branch amplitudes are c_m <Omega|J, m> / chi(theta): the moduli of
+    ``_clock_moduli``, phased at phi.
     """
-    lm = scs_log_magnitude(theta, state.two_j, state._support_array)
-    log_terms = state._log_weights + 2.0 * lm
-    log_chi2 = float(logsumexp(log_terms))
-    if log_chi2 < log_tol:
-        raise DegenerateTheta(
-            f"log chi^2 = {log_chi2:.1f} at theta = {theta!r}: below tolerance")
-
-    entries = []
-    for i, (k, c) in enumerate(state.coefficients):
-        magnitude = math.exp(math.log(abs(c)) + float(lm[i]) - 0.5 * log_chi2)
-        phase = cmath.phase(c) - k * phi
-        entries.append((state.n_values[i], magnitude * cmath.exp(1j * phase)))
-    return ConditionalState(theta=theta, phi=phi, amplitudes=tuple(entries),
+    moduli, log_chi2 = _clock_moduli(state, theta, log_tol)
+    return ConditionalState(theta=theta, phi=phi, n_values=state.n_values,
+                            vector=_phased(state, moduli, phi),
                             norm_chi2=math.exp(log_chi2))
 
 
@@ -349,6 +321,24 @@ def default_dphi(state: PawState) -> float:
     above the rounding in k*phi, which grows as 1/dphi, at every 2J.
     """
     return 1e-2 / max(state.support)
+
+
+def _residuals(state: PawState, theta: float, phi: float,
+               steps: tuple[float, ...]) -> tuple[float, ...]:
+    """The defect of ``schrodinger_residual`` at each step: the moduli of the
+    conditional state are taken once, and each step re-phases them."""
+    if any(dphi <= 0 for dphi in steps):
+        raise ValueError("dphi must be positive")
+    moduli, _ = _clock_moduli(state, theta)
+    center = _phased(state, moduli, phi)
+    h_diag = np.array([state.oscillator.level_energy(n) for n in state.n_values])
+    residuals = []
+    for dphi in steps:
+        derivative = (_phased(state, moduli, phi + dphi)
+                      - _phased(state, moduli, phi - dphi)) / (2.0 * dphi)
+        residual = 1j * state.clock.epsilon * derivative - h_diag * center
+        residuals.append(float(np.linalg.norm(residual)))
+    return tuple(residuals)
 
 
 def schrodinger_residual(state: PawState, theta: float, phi: float,
@@ -365,17 +355,8 @@ def schrodinger_residual(state: PawState, theta: float, phi: float,
     vector is eps*k*(sinc(k*dphi) - 1)*psi_k branch by branch, and its norm is
     eps*sqrt(sum_k |psi_k|^2 * (k*(1 - sinc(k*dphi)))^2), up to rounding.
     """
-    if dphi is None:
-        dphi = default_dphi(state)
-    if dphi <= 0:
-        raise ValueError("dphi must be positive")
-    center = conditional_state(state, theta, phi)
-    plus = conditional_state(state, theta, phi + dphi)
-    minus = conditional_state(state, theta, phi - dphi)
-    derivative = (plus.vector - minus.vector) / (2.0 * dphi)
-    h_diag = np.array([state.oscillator.level_energy(n) for n in center.n_values])
-    residual = 1j * state.clock.epsilon * derivative - h_diag * center.vector
-    return float(np.linalg.norm(residual))
+    return _residuals(state, theta, phi,
+                      (default_dphi(state) if dphi is None else dphi,))[0]
 
 
 @dataclass(frozen=True)
@@ -392,13 +373,14 @@ def schrodinger_order_study(state: PawState, theta: float, phi: float,
     """Halve dphi repeatedly and fit the convergence order of the residual.
 
     A correct central-difference implementation gives order 2: each halving
-    divides the residual by 4.
+    divides the residual by 4.  Every step shares one evaluation of the
+    clock overlaps at theta.
     """
     if steps is None:
         base = default_dphi(state)
         steps = tuple(base / 2 ** i for i in range(4))
     steps = tuple(float(s) for s in steps)
-    residuals = tuple(schrodinger_residual(state, theta, phi, dphi=s) for s in steps)
+    residuals = _residuals(state, theta, phi, steps)
     slope = np.polyfit(np.log(steps), np.log(residuals), 1)[0]
     return OrderStudy(steps=steps, residuals=residuals, order=float(slope))
 
@@ -416,9 +398,8 @@ def paw_constraint_residual(state: PawState) -> float:
     returns exactly omega.
     """
     worst = Fraction(0)
-    for k in state.support:
-        pair = state.pair_for(k)
-        gap = abs(state.ratios.kappa_r * k - (Fraction(pair.n) + Fraction(1, 2)))
+    for k, n in zip(state.support, state.n_values):
+        gap = abs(state.ratios.kappa_r * k - (Fraction(n) + Fraction(1, 2)))
         worst = max(worst, gap)
     return float(worst) * state.oscillator.omega
 
@@ -434,8 +415,8 @@ def shift_fock_levels(state: PawState, delta: int) -> PawState:
         raise ValueError("shift would produce a negative Fock level")
     forged_family = PairFamily(ratio=state.family.ratio, two_j=state.family.two_j,
                                pairs=pairs)
-    forged = replace(state, family=forged_family)
-    return forged
+    return replace(state, family=forged_family,
+                   n_values=tuple(n + delta for n in state.n_values))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +438,7 @@ def state_to_dict(state: PawState) -> dict:
         "M": state.mass,
         "coefficients": [
             {"m_plus_J": k, "re": c.real, "im": c.imag}
-            for k, c in state.coefficients
+            for k, c in zip(state.support, state.amplitudes.tolist())
         ],
     }
 

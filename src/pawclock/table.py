@@ -19,12 +19,35 @@ import numpy as np
 _BLOCK_ROWS = 1 << 14
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of a float64 array, ascending as int64, and
+    each element's index into them.
+
+    One argsort, then not_equal, cumsum and a scatter straight into the
+    smallest unsigned type that counts the distinct values: the peak is 17
+    bytes per element plus the distinct values, ~2.1x the bytes of a column
+    of many repeats, where np.unique(return_inverse=True) takes ~5.1x.
+    """
+    bits = values.view(np.int64).ravel()
+    order = np.argsort(bits)
+    ranked = bits[order]
+    first = np.empty(ranked.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    distinct = ranked[first].view(np.float64)
+    del ranked
+    inverse = np.empty(bits.size, dtype=np.min_scalar_type(distinct.size))
+    rank = np.cumsum(first, dtype=inverse.dtype)
+    rank -= 1
+    inverse[order] = rank
+    return distinct, inverse
+
+
 def _distinct_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The "%.17g" text of each distinct bit pattern, and each cell's index into it."""
-    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    text = np.array(list(map(b"%.17g".__mod__, distinct.view(np.float64).tolist())),
-                    dtype=object)
-    return text, inverse.astype(np.min_scalar_type(distinct.size))
+    distinct, inverse = _distinct(column)
+    text = np.array(list(map(b"%.17g".__mod__, distinct.tolist())), dtype=object)
+    return text, inverse
 
 
 def write_table(path, names, columns) -> None:

@@ -305,7 +305,7 @@ def test_acceptance_08_energy_time_peaks():
     for energy in (0.5, 0.75, 1.0):
         theta = theta_of_energy(state.clock, state.oscillator, energy)
         first, second = (np.mean([beta_amplitude(
-            state, SphereCoordinate(theta, state.epsilon * t), alpha).magnitude_squared
+            state, SphereCoordinate(theta, state.clock.epsilon * t), alpha).magnitude_squared
             for alpha in alphas]) for t in (0.0, 0.37))
         drift = max(drift, abs(first - second) / first)
     ok = len(peaks) == 2 and max(offsets) <= 2.0 / 170.0 and drift <= 1e-12

@@ -185,16 +185,19 @@ MALFORMED_SETTINGS = {
     "state-re-string": ({"state": spin3_document(
         coefficients=[{**SPIN3_ENTRIES[0], "re": "x"}, SPIN3_ENTRIES[1]])}, []),
     "experiment-key": ({"experiment": "anything at all"}, []),
+    "tamper-shift-below-zero": ({"tamper_shift_n": -5}, []),
+    "tamper-flag-below-zero": ({}, ["--tamper-shift-n", "-5"]),
 }
 
 
 def test_settings_are_typed_by_one_table(tmp_path):
     """Malformed settings exit 2, and a count is read alike in any integral form.
 
-    Each value of MALFORMED_SETTINGS exits 2 with an error line and no
-    traceback; a case with a state document gives no state flags, so the
-    document is read.  q_count as "801" or 801.0 writes the CSV of
-    --grid q_count=801.
+    Each value of MALFORMED_SETTINGS exits 2 with an error line, no
+    traceback and no report, so no check has run; a case with a state
+    document gives no state flags, so the document is read.  A tamper shift
+    that would push a Fock level of the J = 3 state below 0 is malformed
+    too.  q_count as "801" or 801.0 writes the CSV of --grid q_count=801.
     """
     path = tmp_path / "config.json"
     for case, (config, flags) in MALFORMED_SETTINGS.items():
@@ -204,6 +207,7 @@ def test_settings_are_typed_by_one_table(tmp_path):
         assert result.returncode == 2, (case, result.stdout, result.stderr)
         assert "error:" in result.stderr, case
         assert "Traceback" not in result.stderr, case
+        assert not result.stdout, case
 
     args = ("figure", "marg-qt", "--m", "10", "--grid", "t_count=16")
     run_cli(*args, "--grid", "q_count=801", "--out", str(tmp_path / "flag"), check=True)
@@ -237,6 +241,7 @@ BAD_COUNTS_AND_AXES = {
     "conditional --theta -1": ["conditional", "--theta", "-1"],
     "schrodinger --theta 4": ["schrodinger", "--theta", "4"],
     "conditional --phi nan": ["conditional", "--theta", "1", "--phi", "nan"],
+    "beta --phi -0.5": ["beta", "--theta", "1", "--phi", "-0.5"],
     "beta --big-q nan": ["beta", "--theta", "1", "--big-q", "nan"],
     "schrodinger --dphi 0": ["schrodinger", "--dphi", "0"],
     "schrodinger --dphi nan": ["schrodinger", "--dphi", "nan"],
@@ -252,8 +257,9 @@ def test_counts_and_axes_are_validated(tmp_path):
     """Every count is at least 1 and every axis has two samples and finite start < stop.
 
     So are the sizes, angles, steps, spins and amplitudes of the flags: M and
-    2J at least 1, at least two halvings, theta in [0, pi], finite phi, Q and
-    P, a finite positive dphi, spins that are positive multiples of 3 and
+    2J at least 1, at least two halvings, theta in [0, pi], finite phi (and
+    non-negative for beta, whose clock point needs phi >= 0), Q and P, a
+    finite positive dphi, spins that are positive multiples of 3 and
     finite coefficients.
     Each case of BAD_COUNTS_AND_AXES exits 2 with an error line, no traceback
     and no output file; a count of 1 where one sample is meaningful is accepted.

@@ -16,21 +16,22 @@ from scipy.special import comb, roots_laguerre
 from scipy.stats import poisson
 
 from pawclock import coherent
+from pawclock.classical import beta_amplitude
 from pawclock.coherent import (
     LogAmplitude,
     SphereCoordinate,
     _libm_log,
     _log_fock_density,
     gauss_legendre,
-    hcs_overlap,
+    hcs_log_magnitude,
     ln_binomial,
     ln_factorial,
     logsumexp,
     scs_log_magnitude,
-    scs_overlap,
     sphere_quadrature,
     xlogy,
 )
+from pawclock.pawstate import spin3_pair_state
 
 
 def direct_scs_overlap(theta, phi, two_j, k):
@@ -41,19 +42,12 @@ def direct_scs_overlap(theta, phi, two_j, k):
 
 
 def test_log_amplitude_round_trip():
+    """A complex number survives the (log magnitude, phase) form beta returns."""
     z = 0.3 - 0.7j
-    amp = LogAmplitude.from_complex(z)
-    assert amp.to_complex() == pytest.approx(z)
-    assert amp.magnitude == pytest.approx(abs(z))
+    amp = LogAmplitude(math.log(abs(z)), cmath.phase(z))
+    assert cmath.rect(math.exp(amp.log_magnitude), amp.phase) == pytest.approx(z)
     assert amp.magnitude_squared == pytest.approx(abs(z) ** 2)
-
-
-def test_log_amplitude_product():
-    """A product is the sum of log magnitudes and of phases, as beta assembles it."""
-    a = LogAmplitude.from_complex(0.5 + 0.1j)
-    b = LogAmplitude.from_complex(-0.2 + 0.9j)
-    product = LogAmplitude(a.log_magnitude + b.log_magnitude, a.phase + b.phase)
-    assert product.to_complex() == pytest.approx((0.5 + 0.1j) * (-0.2 + 0.9j))
+    assert LogAmplitude(-math.inf, 0.0).magnitude_squared == 0.0
 
 
 def test_ln_factorial_and_binomial():
@@ -75,20 +69,14 @@ def test_sphere_coordinate_validation():
 
 
 def test_scs_overlap_matches_direct_formula():
+    """|<Omega|J, m>| = exp(scs_log_magnitude), the phase being -k*phi, k = m+J."""
     two_j = 3
+    k = np.arange(two_j + 1)
     for theta in (0.3, 1.2, 2.0, 3.0):
         for phi in (0.0, 0.4, 2.9):
-            for k in range(two_j + 1):
-                amp = scs_overlap(SphereCoordinate(theta, phi), two_j, k)
-                assert amp.to_complex() == pytest.approx(
-                    direct_scs_overlap(theta, phi, two_j, k), abs=1e-14)
-
-
-def test_scs_overlap_validates_index():
-    with pytest.raises(ValueError):
-        scs_overlap(SphereCoordinate(1.0, 0.0), 6, 7)
-    with pytest.raises(ValueError):
-        scs_overlap(SphereCoordinate(1.0, 0.0), 6, -1)
+            overlap = np.exp(scs_log_magnitude(theta, two_j, k) - 1j * k * phi)
+            direct = [direct_scs_overlap(theta, phi, two_j, level) for level in k]
+            assert overlap == pytest.approx(direct, abs=1e-14)
 
 
 def test_scs_levels_resolve_unity_pointwise():
@@ -206,21 +194,29 @@ def test_hcs_overlap_matches_poisson():
     mass = 170
     alpha = cmath.rect(math.sqrt(1.0 / mass), 0.3)
     u = mass * abs(alpha) ** 2
-    for n in (0, 3, 170):
-        amp = hcs_overlap(alpha, mass, n)
-        assert amp.magnitude_squared == pytest.approx(poisson.pmf(n, u), rel=1e-12)
+    levels = np.array([0, 3, 170])
+    density = np.exp(2.0 * hcs_log_magnitude(alpha, mass, levels))
+    assert density == pytest.approx(poisson.pmf(levels, u), rel=1e-12)
     # the reference point |alpha| = 1, n = M, where u = M
-    dense = hcs_overlap(complex(1.0, 0.0), 170, 170)
-    assert dense.magnitude_squared == pytest.approx(poisson.pmf(170, 170.0), rel=1e-12)
-    assert dense.magnitude_squared == pytest.approx(0.030582, abs=1e-6)
+    dense = math.exp(2.0 * hcs_log_magnitude(complex(1.0, 0.0), 170, 170))
+    assert dense == pytest.approx(poisson.pmf(170, 170.0), rel=1e-12)
+    assert dense == pytest.approx(0.030582, abs=1e-6)
 
 
 def test_hcs_overlap_phase_convention():
-    """<alpha|n> carries phase -n*arg(alpha)."""
+    """<alpha|n> carries phase -n*arg(alpha), as beta_amplitude assembles it.
+
+    At theta = pi the J = 3 state keeps only its (m+J, n) = (6, 4) branch
+    (the other is cos(pi/2)^4 ~ 1e-65 of it), so beta is c <Omega|J, 3><alpha|4>
+    with <Omega|J, 3> = e^{-6i phi}.
+    """
     alpha = cmath.rect(0.8, 0.9)
-    amp = hcs_overlap(alpha, 1, 3)
-    direct = (math.exp(-abs(alpha) ** 2 / 2.0) * alpha ** 3 / math.sqrt(6.0)).conjugate()
-    assert amp.to_complex() == pytest.approx(direct, abs=1e-14)
+    direct = (math.exp(-abs(alpha) ** 2 / 2.0) * alpha ** 4 / math.sqrt(24.0)).conjugate()
+    assert math.exp(hcs_log_magnitude(alpha, 1, 4)) == pytest.approx(abs(direct), rel=1e-14)
+    amp = beta_amplitude(spin3_pair_state(), SphereCoordinate(math.pi, 0.3), alpha)
+    expected = direct * cmath.exp(-6j * 0.3) / math.sqrt(2.0)
+    assert cmath.rect(math.exp(amp.log_magnitude), amp.phase) == pytest.approx(
+        expected, abs=1e-14)
 
 
 def test_hcs_levels_resolve_unity_pointwise():
@@ -429,12 +425,18 @@ UNCALLED_EXPORTS = {
     "EnergyTimeCoordinate",  # item 7: what energy_time_coordinate returns
 }
 
+# Public methods and properties of exported classes that no program code reads.
+UNCALLED_MEMBERS = {
+    "GridAxis.spacing",  # the sampling step of a grid a marginal returns
+}
 
-def _names_read(tree, skip: str, modules=()) -> set[str]:
+
+def _names_read(tree, skip: str, modules=(), bare=True) -> set[str]:
     """Names and attributes ``tree`` reads outside the definition of ``skip``.
 
     A string "module.name" with ``module`` in ``modules`` counts as a read of
-    name: the benchmark tracer names its spans so.
+    name: the benchmark tracer names its spans so.  With ``bare`` false only
+    attribute reads count, as for a method or property.
     """
     found = set()
     stack = [tree]
@@ -442,7 +444,7 @@ def _names_read(tree, skip: str, modules=()) -> set[str]:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if bare and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found.add(node.attr)
@@ -454,9 +456,24 @@ def _names_read(tree, skip: str, modules=()) -> set[str]:
     return found
 
 
+def _public_members(tree, classes: set[str]) -> set[str]:
+    """"Class.member" for each public method or property ``classes`` define in ``tree``."""
+    return {f"{node.name}.{item.name}" for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in classes
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
 def test_every_export_has_a_caller_in_the_program():
     """Each name pawclock/__init__.py imports is read by another module of the
-    package or by bench/, not only by tests; UNCALLED_EXPORTS are the exceptions."""
+    package or by bench/, not only by tests; UNCALLED_EXPORTS are the exceptions.
+
+    So is each public method or property of an exported class, as an
+    attribute read outside its own definition; UNCALLED_MEMBERS are the
+    exceptions.  Attributes are matched by name, so ``state.mass`` counts as
+    a read of ``DistributionGrid.mass``: the check finds the members that no
+    code reads under any owner, not every member without a caller.
+    """
     root = Path(__file__).parents[1]
     trees = dict(_module_trees())
     exported = {alias.name for node in trees.pop("__init__.py").body
@@ -464,7 +481,13 @@ def test_every_export_has_a_caller_in_the_program():
     modules = {name.removesuffix(".py") for name in trees}
     bench = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((root / "bench").glob("*.py"))]
-    uncalled = {name for name in exported
-                if not any(name in _names_read(tree, name) for tree in trees.values())
-                and not any(name in _names_read(tree, name, modules) for tree in bench)}
+
+    def read(name: str, bare=True) -> bool:
+        return (any(name in _names_read(tree, name, bare=bare) for tree in trees.values())
+                or any(name in _names_read(tree, name, modules, bare) for tree in bench))
+
+    uncalled = {name for name in exported if not read(name)}
     assert uncalled <= UNCALLED_EXPORTS, sorted(uncalled - UNCALLED_EXPORTS)
+    members = set().union(*(_public_members(tree, exported) for tree in trees.values()))
+    unread = {member for member in members if not read(member.partition(".")[2], bare=False)}
+    assert unread <= UNCALLED_MEMBERS, sorted(unread - UNCALLED_MEMBERS)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pawclock import cli, pawstate
 from pawclock.constraints import ClockSpec, OscillatorSpec, enumerate_pairs, reduce_ratio
 from pawclock.pawstate import (
     DegenerateTheta,
@@ -93,7 +94,7 @@ def test_build_state_normalizes_and_orders():
     state = assemble_state(6, 1, Fraction(3, 4), {6: 3.0, 2: 4.0})
     assert state.support == (2, 6)
     assert np.abs(state.amplitudes) == pytest.approx([0.8, 0.6])
-    norm = sum(abs(c) ** 2 for _, c in state.coefficients)
+    norm = sum(abs(c) ** 2 for c in state.amplitudes.tolist())
     assert norm == pytest.approx(1.0, abs=1e-15)
 
 
@@ -139,9 +140,9 @@ def test_hamiltonian_action_kernel():
     the pair basis spans the kernel of H_clock - H_osc."""
     state = spin3_pair_state()
     for pair in state.family.pairs:
-        assert (state.clock.level_energy(pair.m_plus_j)
+        assert (state.clock.epsilon * pair.m_plus_j
                 == state.oscillator.level_energy(pair.n))
-    assert state.clock.level_energy(2) == state.oscillator.level_energy(1) == 1.5
+    assert state.clock.epsilon * 2 == state.oscillator.level_energy(1) == 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +252,59 @@ def test_schrodinger_residual_matches_analytic_error():
     predicted = math.sqrt(w2 * d2 ** 2 + w6 * d6 ** 2)
     measured = schrodinger_residual(state, theta, 0.7, dphi=dphi)
     assert measured == pytest.approx(predicted, rel=1e-4)
+
+
+def test_order_study_residuals_are_single_step_residuals_bitwise():
+    """Each residual of the study is schrodinger_residual at that step, bit for bit."""
+    for state, theta, phi in ((spin3_pair_state(), math.pi / 2.0, 0.7),
+                              (dense_family_state(40), 1.1, 3.3),
+                              (large_j_pair_state(570), 2.0, 0.3)):
+        study = schrodinger_order_study(state, theta, phi)
+        for step, residual in zip(study.steps, study.residuals):
+            single = schrodinger_residual(state, theta, phi, dphi=step)
+            assert np.float64(single).tobytes() == np.float64(residual).tobytes()
+
+
+def test_schrodinger_residual_rejects_non_positive_steps():
+    """dphi = 0 is refused, not swapped for the default step."""
+    state = spin3_pair_state()
+    for dphi in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dphi must be positive"):
+            schrodinger_residual(state, math.pi / 2.0, 0.7, dphi=dphi)
+        with pytest.raises(ValueError, match="dphi must be positive"):
+            schrodinger_order_study(state, math.pi / 2.0, 0.7, steps=(1e-3, dphi))
+
+
+def counting_clock_overlaps(monkeypatch):
+    """Wrap pawstate's scs_log_magnitude; returns the list of scalar thetas it sees."""
+    thetas = []
+    original = pawstate.scs_log_magnitude
+
+    def counted(theta, two_j, m_plus_j):
+        if np.ndim(theta) == 0:
+            thetas.append(float(theta))
+        return original(theta, two_j, m_plus_j)
+
+    monkeypatch.setattr(pawstate, "scs_log_magnitude", counted)
+    return thetas
+
+
+def test_order_study_evaluates_the_clock_overlaps_once(monkeypatch):
+    """The clock part of the conditional state depends on theta alone, so the
+    four-step study evaluates the overlaps at its theta once, not 12 times."""
+    thetas = counting_clock_overlaps(monkeypatch)
+    schrodinger_order_study(dense_family_state(10), 1.1, 0.7)
+    assert thetas == [1.1]
+
+
+def test_verify_evaluates_the_clock_overlaps_twice_at_its_theta(monkeypatch, capsys):
+    """One verify: the conditional norm check and the order study, once each."""
+    thetas = counting_clock_overlaps(monkeypatch)
+    assert cli.main(["verify", "--two-j", "30", "--m", "10", "--kappa-r", "1/2",
+                     "--theta", "1.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
+    assert 1 <= thetas.count(1.3) <= 2
+    assert set(thetas) == {1.3}
 
 
 def test_schrodinger_residual_second_order():

@@ -96,7 +96,7 @@ def admissible_states(draw):
 def test_space_time_matches_reference_on_random_states(state, q_count, t_count, p_order):
     # odd counts and odd p_order put a node at Q = P = 0, where u = 0
     q_axis = GridAxis("Q", -3.0, 3.0, q_count)
-    t_axis = GridAxis("t", 0.0, 2.0 * math.pi / state.epsilon, t_count)
+    t_axis = GridAxis("t", 0.0, 2.0 * math.pi / state.clock.epsilon, t_count)
     assert_matches_reference(state, q_axis, t_axis, p_order)
 
 
