@@ -21,13 +21,18 @@ The distinct u come from two small sorts, of the squares of each axis and then
 of u on the grid of distinct squares, never from a sort of the full grid; the
 result has the bits of a per-cell sweep.
 
-The space-time marginal costs one Gram product per Q row instead of one grid
-sweep per branch pair.  With g_n(P) = sqrt(f_n(u)) e^{-i n arctan2(P, Q)} for
-the Fock density f_n, every momentum-integrated branch product of the row is
-an entry of C = (conj(g) w) @ g^T: the diagonal gives the static profile, the
-off-diagonal entries the interference.  The kept pairs are summed per beat
-d = k_i - k_j before the time axis is applied, so the (Q, t) grid is one
-product of a (Q x beats) and a (beats x t) matrix.
+The space-time marginal needs, per Q, every momentum integral
+C_ij(Q) = int dP <n_i|z><z|n_j> with z = sqrt(M/2)(Q + iP).  The Husimi
+function is the Wigner function smoothed by the vacuum, so C_ij is a Gaussian
+smoothing of Hermite-function products:
+C_ij(Q) = 2 sqrt(pi/M) int dx psi_{n_i}(x) psi_{n_j}(x) e^{-(sqrt(M) Q - x)^2}.
+One table of psi_n on a uniform x grid, the kept pairs summed per beat
+d = k_i - k_j into B_d(x), and one Gaussian kernel K(Q, x) give the branch
+and beat rows as two matrix products; the (Q, t) grid is then one product of
+a (Q x beats) and a (beats x t) matrix.  For Fock pairs far apart the
+smoothing cancels: its relative error grows with the condition number kappa
+of ``_interference_condition``, and states above ``_KAPPA_MAX`` keep the
+momentum quadrature, one Gram product per block of Q rows.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,16 +61,20 @@ class ConfigError(ValueError):
     """A run setting (scenario config or flag) is malformed."""
 
 
-# Q rows per block of the space-time kernel; blocks start at multiples of it.
+# Q rows per block of the Gram kernel; blocks start at multiples of it.
 _ROW_BLOCK = 8
-# Gauss-Legendre momentum nodes of the space-time marginal by default.
+# Gauss-Legendre momentum nodes of the Gram kernel.
 _P_ORDER = 400
+# Branch pairs per step of the Husimi kernel's beat sums.
+_PAIR_CHUNK = 64
+# Largest interference condition number the Husimi kernel is trusted with.
+_KAPPA_MAX = 10.0
 # sqrt of the smallest normal double: products of larger numbers stay normal.
 _FLUSH = math.sqrt(sys.float_info.min)
 
 
 def _worker_count() -> int:
-    """Thread count for grid sweeps: min(4, the CPUs this process may run on)."""
+    """min(4, the CPUs this process may run on); the benchmark records it."""
     sched_getaffinity = getattr(os, "sched_getaffinity", None)
     cpus = len(sched_getaffinity(0)) if sched_getaffinity else os.cpu_count()
     return min(4, cpus or 1)
@@ -120,6 +128,8 @@ class DistributionGrid:
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} does not match "
                              f"axes {expected}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("densities must be finite")
         if float(self.values.min()) < 0.0:
             raise ValueError("densities must be non-negative")
 
@@ -318,13 +328,13 @@ def interference_suppression(two_j: int, m1_plus_j: int, m2_plus_j: int,
     )
 
 
-def _momentum_quadrature(state: PawState, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _momentum_quadrature(state: PawState) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights covering the occupied momentum support."""
     n_max = max(state.n_values)
     reach = (math.sqrt(2.0 * n_max / state.mass)
              * (1.0 + math.sqrt(40.0 / max(n_max, 1)))
              + math.sqrt(80.0 / state.mass))
-    nodes, weights = gauss_legendre(order)
+    nodes, weights = gauss_legendre(_P_ORDER)
     return reach * nodes, reach * weights
 
 
@@ -361,29 +371,128 @@ def _beat_pairs(state: PawState) -> _BeatPairs:
     return _BeatPairs(first, second, coefficient, starts, beats)
 
 
-def _space_time_rows(state: PawState, q_values: np.ndarray, p_nodes: np.ndarray,
-                     p_weights: np.ndarray, pairs: _BeatPairs | None = None):
+def _interference_condition(state: PawState, pairs: _BeatPairs) -> float:
+    """kappa = sum |a_ij| / sum |a_ij| O_ij over the kept pairs; 1 with none.
+
+    a_ij is the pair's ``coefficient`` and O_ij its oscillator factor
+    (``oscillator_interference_factor``), which is exactly the plane L1 norm
+    of |<z|n_i><n_j|z>|.  So kappa is how far the beat integrands cancel; for
+    two branches it is 1/O.  The Husimi kernel's relative error in the
+    integrated cross term is about c eps kappa with c between 7 and 150.
+    """
+    if pairs.first.size == 0:
+        return 1.0
+    n = np.array(state.n_values, dtype=float)
+    first, second = n[pairs.first], n[pairs.second]
+    log_overlap = (ln_factorial(0.5 * (first + second))
+                   - 0.5 * (ln_factorial(first) + ln_factorial(second)))
+    weight = np.abs(pairs.coefficient)
+    damped = float(np.sum(weight * np.exp(log_overlap)))
+    return float(np.sum(weight)) / damped if damped > 0.0 else math.inf
+
+
+def _row_kernel(state: PawState, pairs: _BeatPairs):
+    """The Husimi kernel for states with kappa <= _KAPPA_MAX, else the Gram one."""
+    if _interference_condition(state, pairs) <= _KAPPA_MAX:
+        return _husimi_rows
+    return _gram_rows
+
+
+def _hermite_table(n_values, x: np.ndarray) -> np.ndarray:
+    """psi_n(x) for each n of ``n_values`` (one row each), by the recurrence
+    psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}.
+
+    The recurrence runs on psi_n e^{-s(x)}, started at 1 with
+    s = -x^2/2 - log(pi)/4, and moves any value above 1e150 into s, so
+    neither the Gaussian nor the polynomial under- or overflows.  Entries
+    below sqrt(tiny) are flushed to 0, which keeps the products out of
+    subnormal arithmetic.
+    """
+    levels = np.asarray(n_values)
+    table = np.empty((levels.size, x.size))
+    log_scale = -0.5 * x * x - 0.25 * math.log(math.pi)
+    previous, current = np.zeros_like(x), np.ones_like(x)
+    for n in range(int(levels.max()) + 1):
+        for row in np.flatnonzero(levels == n):
+            table[row] = current * np.exp(log_scale)
+        previous, current = current, (math.sqrt(2.0 / (n + 1)) * x * current
+                                      - math.sqrt(n / (n + 1)) * previous)
+        large = np.abs(current) > 1e150
+        if large.any():
+            size = np.abs(current[large])
+            previous[large] /= size
+            current[large] /= size
+            log_scale[large] += np.log(size)
+    table[np.abs(table) < _FLUSH] = 0.0
+    return table
+
+
+def _husimi_rows(state: PawState, q_values: np.ndarray,
+                 pairs: _BeatPairs | None = None):
+    """Momentum-integrated branch products per Q row by Gaussian smoothing.
+
+    C_ij(Q) = 2 sqrt(pi/M) int dx psi_{n_i} psi_{n_j} e^{-(sqrt(M) Q - x)^2}
+    by the trapezoid rule with step h = 2 pi / (2 sqrt(2 n_max + 1) + 32) on
+    |x| <= sqrt(2 n_max + 1) + 12: the step resolves the products' highest
+    frequency 2 sqrt(2 n_max + 1) with 32 to spare, where the Gaussian's
+    spectrum is e^{-256}.  Returns ``branch`` (rows x N), the C_ii, and
+    ``beat`` (rows x beats), each beat's sum of coefficient * C_ij over
+    ``pairs``, as two products with one kernel matrix K(Q, x).
+    """
+    width = math.sqrt(2.0 * max(state.n_values) + 1.0)
+    step = 2.0 * math.pi / (2.0 * width + 32.0)
+    half = math.ceil((width + 12.0) / step)
+    x = step * np.arange(-half, half + 1.0)
+    psi = _hermite_table(state.n_values, x)
+    kernel = np.subtract.outer(math.sqrt(state.mass) * q_values, x)
+    np.square(kernel, out=kernel)
+    np.negative(kernel, out=kernel)
+    np.exp(kernel, out=kernel)
+    kernel[kernel < _FLUSH] = 0.0
+    kernel *= 2.0 * math.sqrt(math.pi / state.mass) * step
+    branch = kernel @ np.square(psi).T
+    if pairs is None or pairs.beats.size == 0:
+        return branch, np.zeros((q_values.size, 0), dtype=complex)
+    # B_d(x) = sum of coefficient * psi_i psi_j over the pairs of beat d, as
+    # real and imaginary parts.  The pairs are sorted by beat, so a chunk's
+    # beats are one run of rows and its weighted sum is one small product.
+    parts = np.stack([pairs.coefficient.real, pairs.coefficient.imag])
+    beat_of = np.repeat(np.arange(pairs.beats.size),
+                        np.diff(pairs.starts, append=pairs.first.size))
+    sums = np.zeros((2, pairs.beats.size, x.size))
+    for start in range(0, pairs.first.size, _PAIR_CHUNK):
+        chunk = slice(start, start + _PAIR_CHUNK)
+        products = psi[pairs.first[chunk]]
+        products *= psi[pairs.second[chunk]]
+        local = beat_of[chunk] - beat_of[start]
+        weights = np.zeros((2, local[-1] + 1, local.size))
+        weights[:, local, np.arange(local.size)] = parts[:, chunk]
+        sums[:, beat_of[start]:beat_of[start] + local[-1] + 1] += weights @ products
+    rows = kernel @ sums.reshape(-1, x.size).T
+    return branch, rows[:, :pairs.beats.size] + 1j * rows[:, pairs.beats.size:]
+
+
+def _gram_rows(state: PawState, q_values: np.ndarray, pairs: _BeatPairs):
     """Momentum-integrated branch products per Q row, in fixed blocks of rows.
 
     With g_n(P) = sqrt(f_n(u)) e^{-i n arctan2(P, Q)}, the weighted Gram matrix
     C = (conj(g) w) @ g^T of a row holds every branch product integrated over
-    P.  The momentum nodes are symmetric and g_n(-P) = conj(g_n(P)), so C is
-    real: the Gram matrix of the real and imaginary parts of g sqrt(w).
-    Returns ``branch`` (rows x N), the diagonal of C, and ``beat``
-    (rows x beats), each beat's sum of coefficient * C_ij over ``pairs``.
-
-    Blocks start at fixed row offsets and every row goes through the same
-    fixed-shape operations, so a row's bits do not depend on the thread count.
+    P by ``_P_ORDER`` Gauss-Legendre nodes.  The momentum nodes are symmetric
+    and g_n(-P) = conj(g_n(P)), so C is real: the Gram matrix of the real and
+    imaginary parts of g sqrt(w).  Returns ``branch`` and ``beat`` as
+    ``_husimi_rows`` does.  The integrand |<z|n_i><n_j|z>| has plane L1 norm
+    O_ij, not of order 1 as psi_i psi_j has, so far Fock pairs cancel no
+    large terms; the cost is O(Q N^2 P).
     """
+    p_nodes, p_weights = _momentum_quadrature(state)
     n = np.array(state.n_values, dtype=float)
     half_log_norm = -0.5 * ln_factorial(n)
     ground = n == 0.0
     half_log_w = 0.5 * np.log(p_weights)
     steps, step_of = np.unique(np.diff(n), return_inverse=True)
-    if pairs is not None:
-        kept = pairs.first * n.size + pairs.second
-
-    def block(start: int):
+    kept = pairs.first * n.size + pairs.second
+    branches, beats = [], []
+    for start in range(0, q_values.size, _ROW_BLOCK):
         q = q_values[start:start + _ROW_BLOCK, None]
         u = 0.5 * state.mass * (q ** 2 + p_nodes ** 2)
         # |g_n| sqrt(w), assembled in log space where u^n and n! cannot overflow
@@ -407,39 +516,39 @@ def _space_time_rows(state: PawState, q_values: np.ndarray, p_nodes: np.ndarray,
         g *= magnitude
         parts = g.view(np.float64)  # (Re, Im) pairs along P
         gram = parts @ parts.swapaxes(1, 2)
-        branch = np.diagonal(gram, axis1=1, axis2=2).copy()  # not a view of gram
-        if pairs is None or pairs.starts.size == 0:
-            return branch, np.zeros((q.shape[0], 0), dtype=complex)
+        # a copy, not a view that would keep gram alive
+        branches.append(np.diagonal(gram, axis1=1, axis2=2).copy())
         products = np.take(gram.reshape(q.shape[0], -1), kept, axis=1) * pairs.coefficient
-        return branch, np.add.reduceat(products, pairs.starts, axis=1)
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        parts = list(pool.map(block, range(0, q_values.size, _ROW_BLOCK)))
-    return (np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]))
+        beats.append(np.add.reduceat(products, pairs.starts, axis=1))
+    return np.concatenate(branches), np.concatenate(beats)
 
 
 def space_time_diagonal(state: PawState, q_values) -> np.ndarray:
-    """Static part of the space-time marginal along Q (cross terms excluded)."""
+    """Static part of the space-time marginal along Q (cross terms excluded).
+
+    It has no cross terms to cancel, so the Husimi kernel serves every state.
+    """
     q_values = np.asarray(q_values, dtype=float)
-    p_nodes, p_weights = _momentum_quadrature(state, _P_ORDER)
-    branch, _ = _space_time_rows(state, q_values, p_nodes, p_weights)
+    branch, _ = _husimi_rows(state, q_values)
     prefactor = state.clock.epsilon / (2.0 * math.pi)
     plane_norm = state.mass / (2.0 * math.pi)
     return prefactor * plane_norm * (branch @ np.abs(state.amplitudes) ** 2)
 
 
 def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
-                        t_axis: GridAxis | None = None, p_order: int = _P_ORDER,
+                        t_axis: GridAxis | None = None,
                         ) -> tuple[DistributionGrid, InterferenceReport]:
     """Space-time marginal D(Q, t) with its diagonal/interference split.
 
     At each (Q, t) the joint density is integrated over the energy range
     [0, 2*kappa] and over all momenta.  The energy integral of each branch
-    pair is a Beta function, taken in closed form (``_log_clock_overlap``);
-    the momentum integral uses ``p_order`` nodes over the occupied support.
-    Branch pairs whose interference amplitude cannot reach 1e-300 are skipped.
-    Kept pairs are summed per beat frequency before the time axis is applied.
+    pair is a Beta function, taken in closed form (``_log_clock_overlap``).
+    The momentum integral is the Husimi smoothing of Hermite functions
+    (``_husimi_rows``) for states whose interference condition number is at
+    most ``_KAPPA_MAX``, else ``_P_ORDER`` Gauss-Legendre nodes over the
+    occupied support (``_gram_rows``).  Branch pairs whose interference
+    amplitude cannot reach 1e-300 are skipped.  Kept pairs are summed per
+    beat frequency before the time axis is applied.
 
     Returns the sampled grid plus an InterferenceReport whose aggregates are
     trapezoid Q-integrals (the cross term's absolute value, averaged over t).
@@ -450,14 +559,13 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
         t_axis = default_time_axis(state)
 
     q_values = q_axis.values
-    p_nodes, p_weights = _momentum_quadrature(state, p_order)
     epsilon = state.clock.epsilon
     prefactor = epsilon / (2.0 * math.pi)
     plane_norm = state.mass / (2.0 * math.pi)
     moduli = np.abs(state.amplitudes)
 
     pairs = _beat_pairs(state)
-    branch, beat = _space_time_rows(state, q_values, p_nodes, p_weights, pairs)
+    branch, beat = _row_kernel(state, pairs)(state, q_values, pairs)
     diagonal = plane_norm * (branch @ moduli ** 2)
     phases = np.exp(1j * np.outer(pairs.beats * epsilon, t_axis.values))
     cross = plane_norm * (beat @ phases).real

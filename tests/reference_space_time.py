@@ -117,9 +117,14 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
         for i, j, _ in kept:
             n1, n2 = state.n_values[i], state.n_values[j]
             base = np.exp(0.5 * (_log_fock_density(u, n1) + _log_fock_density(u, n2)))
-            psi = (n1 - n2) * angles - (gammas[i] - gammas[j])
-            cos_parts.append((base * np.cos(psi) * p_weights).sum(axis=1))
-            sin_parts.append((base * np.sin(psi) * p_weights).sum(axis=1))
+            # The part odd in P integrates to 0, so the pair phase rotates the
+            # even part exactly; rounding cos((n1-n2) theta - phase) at each
+            # node instead leaves ~1e-17 of the pair in a cross term that the
+            # phases may cancel to 1e-8 of it.
+            even = (base * np.cos((n1 - n2) * angles) * p_weights).sum(axis=1)
+            shift = gammas[i] - gammas[j]
+            cos_parts.append(math.cos(shift) * even)
+            sin_parts.append(-math.sin(shift) * even)
         return diag, cos_parts, sin_parts
 
     if chunk_count == 1:

@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 import pawclock
-from pawclock import marginals
-from pawclock.cli import build_parser, main
+from pawclock.cli import build_parser
 
 BASE = [sys.executable, "-m", "pawclock"]
 SPIN3 = ["--two-j", "6", "--m", "1", "--kappa-r", "3/4"]
@@ -423,21 +422,6 @@ def test_figure_orbits_radii_ladder(tmp_path):
     sidecar = json.loads((tmp_path / "orbits-pq.json").read_text())
     # dense family at M = 8: levels n = 0..11, radii sqrt(2n/M)
     assert sidecar["radii"] == [math.sqrt(2.0 * n / 8.0) for n in range(12)]
-
-
-def test_figure_runs_are_deterministic_across_thread_counts(tmp_path, monkeypatch):
-    """Byte-identical CSV output no matter how the work is chunked."""
-    args = ["figure", "marg-qt", "--m", "10", "--grid", "q_count=101",
-            "--grid", "t_count=16"]
-    for threads, out in ((1, "a"), (7, "b")):
-        monkeypatch.setattr(marginals, "_worker_count", lambda: threads)
-        assert main([*args, "--out", str(tmp_path / out)]) == 0
-    first = (tmp_path / "a" / "marg-qt.csv").read_bytes()
-    second = (tmp_path / "b" / "marg-qt.csv").read_bytes()
-    assert first == second
-    reports = [json.loads((tmp_path / d / "marg-qt.json").read_text())
-               for d in ("a", "b")]
-    assert reports[0]["interference"] == reports[1]["interference"]
 
 
 # ---------------------------------------------------------------------------
