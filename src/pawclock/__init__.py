@@ -16,7 +16,6 @@ from .classical import (
     OrbitParams,
     SurvivingLevel,
     beta_amplitude,
-    beta_double_integral,
     classical_orbit,
     energy_of_theta,
     energy_time_coordinate,
@@ -30,12 +29,10 @@ from .classical import (
 from .coherent import (
     LogAmplitude,
     SphereCoordinate,
-    gauss_legendre,
     hcs_log_magnitude,
     ln_binomial,
     ln_factorial,
     scs_log_magnitude,
-    sphere_quadrature,
 )
 from .constraints import (
     AllowedPair,

@@ -1,4 +1,4 @@
-"""Numerically stable coherent-state overlaps and the invariant measures.
+"""Numerically stable spin and Glauber coherent-state overlaps.
 
 Spin coherent states on the sphere and Glauber coherent states on the plane
 both involve binomials and factorials far beyond float range (2J runs above
@@ -20,12 +20,10 @@ log per element of y, shared by every n it is broadcast against.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 # ---------------------------------------------------------------------------
@@ -306,37 +304,3 @@ def hcs_log_magnitude(alpha: complex, mass: int, n):
     """
     root = math.sqrt(mass) * abs(alpha)
     return xlogy(n, root) - 0.5 * root ** 2 - 0.5 * ln_factorial(n)
-
-
-# ---------------------------------------------------------------------------
-# invariant measures and quadrature
-# ---------------------------------------------------------------------------
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=64)
-def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached per order.
-
-    The arrays are shared by every caller and therefore read-only.
-    """
-    return _read_only(*leggauss(order))
-
-
-def sphere_quadrature(two_j: int):
-    """Nodes and weights integrating azimuth-independent f over the sphere measure.
-
-    Gauss-Legendre in cos(theta) with order = max(256, 2J // 2 + 2) nodes;
-    sum(w_i * f(theta_i)) equals integral d(mu)(Omega) f(theta) exactly for f
-    polynomial in cos(theta) up to degree 2*order - 1 > 2J, which covers every
-    overlap-squared at spin J.
-
-    Returns (theta_nodes, weights).
-    """
-    x, w = gauss_legendre(max(256, two_j // 2 + 2))
-    return np.arccos(x), (two_j + 1) / 2.0 * w
-

@@ -41,12 +41,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .coherent import (_libm_log, _log_fock_density, gauss_legendre, ln_binomial,
-                       ln_factorial, logsumexp, xlogy)
+from .coherent import (_libm_log, _log_fock_density, ln_binomial, ln_factorial,
+                       logsumexp, xlogy)
 from .pawstate import PawState
 from .table import _distinct, write_table
 
@@ -259,7 +260,10 @@ def energy_time_density(state: PawState, e):
         raise EOutOfRange(f"e must lie in [0, {two_kappa}]")
     x = np.clip(e_arr / two_kappa, 0.0, 1.0)
     k = np.array(state.support, dtype=float)
-    log_terms = (np.log(np.abs(state.amplitudes) ** 2)
+    moduli = np.abs(state.amplitudes)
+    weights = moduli ** 2
+    # |c|^2 underflows to 0 below |c| ~ 1e-162, where its log is 2 log|c|
+    log_terms = (np.log(weights, out=2.0 * np.log(moduli), where=weights > 0.0)
                  + ln_binomial(state.two_j, k)
                  + xlogy(state.two_j - k, 1.0 - x[..., None])
                  + xlogy(k, x[..., None]))
@@ -328,13 +332,19 @@ def interference_suppression(two_j: int, m1_plus_j: int, m2_plus_j: int,
     )
 
 
+@cache
+def _p_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The ``_P_ORDER`` Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return leggauss(_P_ORDER)
+
+
 def _momentum_quadrature(state: PawState) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights covering the occupied momentum support."""
     n_max = max(state.n_values)
     reach = (math.sqrt(2.0 * n_max / state.mass)
              * (1.0 + math.sqrt(40.0 / max(n_max, 1)))
              + math.sqrt(80.0 / state.mass))
-    nodes, weights = gauss_legendre(_P_ORDER)
+    nodes, weights = _p_rule()
     return reach * nodes, reach * weights
 
 
@@ -360,7 +370,10 @@ def _beat_pairs(state: PawState) -> _BeatPairs:
     first, second = np.triu_indices(k.size, 1)
     moduli = np.abs(state.amplitudes)
     gammas = np.angle(state.amplitudes)
-    log_amp = (np.log(2.0 * moduli[first] * moduli[second])
+    product = 2.0 * moduli[first] * moduli[second]
+    # A product that underflowed to 0 has log < -744 and A_ij <= 1, so the
+    # pair falls below the cut whatever its log is taken to be.
+    log_amp = (np.log(product, out=np.full(product.shape, -np.inf), where=product > 0.0)
                + _log_clock_overlap(state.two_j, k[first], k[second]))
     keep = log_amp > -700.0
     beat = k[first[keep]] - k[second[keep]]

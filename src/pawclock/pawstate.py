@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherent import logsumexp, scs_log_magnitude, sphere_quadrature
+from .coherent import logsumexp, scs_log_magnitude
 from .constraints import (
     ClockSpec,
     CouplingRatios,
@@ -247,9 +247,16 @@ def chi_squared_terms(state: PawState, theta):
 
 
 def chi_squared_integral(state: PawState) -> float:
-    """Integral of chi^2 over the clock sphere measure; 1 for any valid state."""
-    thetas, weights = sphere_quadrature(state.two_j)
-    return float(np.sum(weights * chi_squared(state, thetas)))
+    """Integral of chi^2 over the clock sphere measure: exactly sum_m |c_m|^2.
+
+    With x = sin^2(theta/2) the measure (2J+1)/(4 pi) sin(theta) d(theta) d(phi)
+    becomes (2J+1) dx after the phi integral, and branch m contributes
+    |c_m|^2 binom(2J, k) x^k (1-x)^{2J-k}, k = m+J.  Its integral is the Beta
+    function (2J+1) binom(2J, k) B(k+1, 2J-k+1) = 1, the diagonal of the
+    resolution of identity on the sphere, so no quadrature is needed.  The
+    same sum is the plane-and-sphere integral of |beta|^2.
+    """
+    return math.fsum(abs(c) ** 2 for c in state.amplitudes.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
-"""Full-tensor beta double integral kept as a test oracle.
+"""Quadratures of the chi^2 and |beta|^2 normalizations, kept as test oracles.
 
-This is the original implementation of
-``pawclock.classical.beta_double_integral``: it folds every branch pair
-(m, m') through the sphere and radial quadratures (Gauss-Laguerre in
-u = M|alpha|^2) and multiplies by uniform azimuthal sums that evaluate the
-phase integrals.  ``phase_deltas`` is lifted out of the function body, where
-it was a nested helper, so that tests can check it against the identity.
-The production code keeps only the diagonal; see tests/test_beta_reference.py.
+The library reports both integrals as sum_m |c_m|^2, which the resolutions
+of identity on the clock sphere and the oscillator plane make exact
+(``pawclock.pawstate.chi_squared_integral``).  This module integrates them
+numerically instead, so tests can hold the identity against quadratures:
+
+* ``sphere_quadrature`` is Gauss-Legendre in cos(theta) on the sphere measure;
+  ``chi_squared_quadrature`` integrates chi^2 with it.
+* ``branch_norms`` and ``diagonal_beta_integral`` integrate |beta|^2 one
+  branch at a time: sphere quadrature times a Gauss-Legendre radial rule.
+* ``beta_double_integral`` folds every branch pair (m, m') through the sphere
+  and radial quadratures (Gauss-Laguerre in u = M|alpha|^2) and multiplies by
+  uniform azimuthal sums that evaluate the phase integrals.  ``phase_deltas``
+  is lifted out of it so that tests can check it against the identity.
 """
 
 from __future__ import annotations
@@ -14,10 +20,71 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, logsumexp, roots_laguerre, xlogy
 
-from pawclock.coherent import scs_log_magnitude, sphere_quadrature
-from pawclock.pawstate import PawState
+from pawclock import coherent
+from pawclock.coherent import scs_log_magnitude
+from pawclock.pawstate import PawState, chi_squared
+
+
+def sphere_quadrature(two_j: int):
+    """Nodes and weights integrating azimuth-independent f over the sphere measure.
+
+    Gauss-Legendre in cos(theta) with order = max(256, 2J // 2 + 2) nodes;
+    sum(w_i * f(theta_i)) equals integral d(mu)(Omega) f(theta) exactly for f
+    polynomial in cos(theta) up to degree 2*order - 1 > 2J, which covers every
+    overlap-squared at spin J.
+
+    Returns (theta_nodes, weights).
+    """
+    x, w = leggauss(max(256, two_j // 2 + 2))
+    return np.arccos(x), (two_j + 1) / 2.0 * w
+
+
+def chi_squared_quadrature(state: PawState) -> float:
+    """Integral of chi^2 over the clock sphere measure by ``sphere_quadrature``."""
+    thetas, weights = sphere_quadrature(state.two_j)
+    return float(np.sum(weights * chi_squared(state, thetas)))
+
+
+def branch_norms(state: PawState) -> np.ndarray:
+    """Per-branch S_m * R_m, each factor 1 by a resolution of identity.
+
+    S_m is the Gauss-Legendre sphere quadrature of |<Omega|J, k_m>|^2 and R_m
+    the radial integral of |<alpha|n_m>|^2 over u = M|alpha|^2, which is the
+    Gamma(n + 1) density u^n e^-u / n!. R_m uses 256 Gauss-Legendre nodes on
+    n +- (12*sqrt(n) + 30), clipped at u = 0. Both are folded in log space, so
+    neither factor overflows at 2J ~ 1100 or n ~ 4000; the deviation of
+    S_m * R_m from 1 is the quadrature error of branch m.
+    """
+    n = np.array(state.n_values, dtype=float)
+
+    thetas, w_sphere = sphere_quadrature(state.two_j)
+    log_s = coherent.logsumexp(
+        2.0 * scs_log_magnitude(thetas[:, None], state.two_j, state.support)
+        + np.log(w_sphere)[:, None], axis=0)
+
+    x, w = leggauss(256)
+    reach = 12.0 * np.sqrt(n) + 30.0
+    low = np.maximum(0.0, n - reach)
+    half_width = 0.5 * (n + reach - low)
+    u = low + half_width * (1.0 + x[:, None])
+    log_r = coherent.logsumexp(coherent._log_fock_density(u, coherent._libm_log(u), n)
+                               + np.log(w)[:, None] + np.log(half_width), axis=0)
+    return np.exp(log_s + log_r)
+
+
+def diagonal_beta_integral(state: PawState) -> float:
+    """Quadrature of |beta|^2 over both coherent-state measures, branch by branch.
+
+    The azimuthal integrals over phi and arg(alpha) of the cross term between
+    branches m and m' give Kronecker deltas in k and in n, so only the
+    diagonal survives: the integral is sum_m |c_m|^2 * S_m * R_m, with the
+    per-branch sphere and radial factors of ``branch_norms``.
+    """
+    c = state.amplitudes
+    return float(np.sum((c.conj() * c).real * branch_norms(state)))
 
 
 def phase_deltas(indices: np.ndarray, count: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from scipy.special import comb, factorial
 from pawclock.classical import (
     OrbitParams,
     beta_amplitude,
-    beta_double_integral,
     classical_orbit,
     energy_of_theta,
     energy_time_coordinate,
@@ -29,10 +28,12 @@ from pawclock.constraints import OscillatorSpec, enumerate_pairs, reduce_ratio
 from pawclock.pawstate import (
     assemble_state,
     balanced_two_level_state,
+    chi_squared_integral,
     dense_family_state,
     large_j_pair_state,
     spin3_pair_state,
 )
+from reference_beta import diagonal_beta_integral
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +167,18 @@ def test_beta_amplitude_survives_underflow():
 
 
 def test_beta_double_integral_is_one():
+    """The quadrature of |beta|^2 agrees with its exact value sum |c_m|^2 = 1."""
     for state in (spin3_pair_state(), balanced_two_level_state(4),
                   large_j_pair_state(3)):
-        assert beta_double_integral(state) == pytest.approx(1.0, abs=1e-9)
+        assert chi_squared_integral(state) == pytest.approx(1.0, abs=1e-9)
+        assert diagonal_beta_integral(state) == pytest.approx(
+            chi_squared_integral(state), abs=1e-9)
 
 
 def test_beta_double_integral_large_mass():
-    assert beta_double_integral(balanced_two_level_state(170)) == pytest.approx(
-        1.0, abs=1e-6)
+    state = balanced_two_level_state(170)
+    assert diagonal_beta_integral(state) == pytest.approx(
+        chi_squared_integral(state), abs=1e-6)
 
 
 def test_stationary_residual_small_at_localized_peak():

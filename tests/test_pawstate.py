@@ -35,6 +35,7 @@ from pawclock.pawstate import (
     state_from_dict,
     state_to_dict,
 )
+from reference_beta import chi_squared_quadrature
 
 
 def closed_form_chi2_spin3(theta):
@@ -181,9 +182,12 @@ def test_log_chi_squared_scalar_and_array():
 
 
 def test_chi_squared_integral_is_one():
+    """sum |c_m|^2 is 1 and is the sphere quadrature of chi^2."""
     for state in (spin3_pair_state(), balanced_two_level_state(4),
                   large_j_pair_state(30), dense_family_state(3)):
         assert chi_squared_integral(state) == pytest.approx(1.0, abs=1e-12)
+        assert chi_squared_quadrature(state) == pytest.approx(
+            chi_squared_integral(state), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
