@@ -65,7 +65,6 @@ from .marginals import (
     space_time_diagonal,
 )
 from .pawstate import (
-    LOG_CHI_TOL,
     ConditionalState,
     DegenerateTheta,
     NotAdmissible,

@@ -55,7 +55,6 @@ from .marginals import (
     marginal_space_time,
 )
 from .pawstate import (
-    LOG_CHI_TOL,
     DegenerateTheta,
     NotAdmissible,
     PawState,
@@ -79,30 +78,26 @@ from .pawstate import (
 from .coherent import SphereCoordinate
 from .table import write_table
 
-# Every grid and tolerance setting, by config section, with the type of its value.
+# Every setting of the config's 'grids' section, with the type of its value.
 _SETTINGS = {
-    "grids": {
-        "q_start": float, "q_stop": float, "q_count": int,
-        "p_start": float, "p_stop": float, "p_count": int,
-        "e_start": float, "e_stop": float, "e_count": int,
-        "t_count": int, "theta_count": int, "samples": int,
-    },
-    "tolerances": {"log_chi": float},
+    "q_start": float, "q_stop": float, "q_count": int,
+    "p_start": float, "p_stop": float, "p_count": int,
+    "e_start": float, "e_stop": float, "e_count": int,
+    "t_count": int, "theta_count": int, "samples": int,
 }
 
 
-def _setting(section: str, key: str, value):
-    """``value`` as the type of setting ``key`` in ``section``, else ConfigError.
+def _setting(key: str, value):
+    """``value`` as the type of grid setting ``key``, else ConfigError.
 
     A string is parsed; a number is taken if the type holds it exactly (801.0
     is the count 801, 2.9 is no count).  Every integer setting is a count and
     must be at least 1.
     """
-    kinds = _SETTINGS[section]
-    if key not in kinds:
-        raise ConfigError(f"unknown key {key!r} in {section!r} "
-                          f"(expected one of {sorted(kinds)})")
-    kind = kinds[key]
+    if key not in _SETTINGS:
+        raise ConfigError(f"unknown key {key!r} in 'grids' "
+                          f"(expected one of {sorted(_SETTINGS)})")
+    kind = _SETTINGS[key]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
         exact = isinstance(value, str) or number and kind(value) == value
@@ -111,20 +106,19 @@ def _setting(section: str, key: str, value):
         result = None
     if result is None:
         expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{section} setting {key}={value!r} is not {expected}")
+        raise ConfigError(f"grids setting {key}={value!r} is not {expected}")
     if kind is int and result < 1:
-        raise ConfigError(f"{section} setting {key}={value!r} is not a positive count")
+        raise ConfigError(f"grids setting {key}={value!r} is not a positive count")
     return result
 
 
 @dataclass
 class ScenarioConfig:
-    """Declarative description of a run: state, grids, output, tolerances."""
+    """Declarative description of a run: state, grids, output, tamper shift."""
 
     state: dict | None = None
     grids: dict = field(default_factory=dict)
     out_dir: str = "."
-    tolerances: dict = field(default_factory=dict)
     tamper_shift_n: int = 0
 
     @classmethod
@@ -134,13 +128,10 @@ class ScenarioConfig:
         unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        sections = {}
-        for section in _SETTINGS:
-            values = doc.get(section, {})
-            if not isinstance(values, dict):
-                raise ConfigError(f"'{section}' must be an object")
-            sections[section] = {key: _setting(section, key, value)
-                                 for key, value in values.items()}
+        grids = doc.get("grids", {})
+        if not isinstance(grids, dict):
+            raise ConfigError("'grids' must be an object")
+        grids = {key: _setting(key, value) for key, value in grids.items()}
         state = doc.get("state")
         if state is not None and not isinstance(state, dict):
             raise ConfigError("'state' must be an object")
@@ -150,7 +141,7 @@ class ScenarioConfig:
         tamper = doc.get("tamper_shift_n", 0)
         if not isinstance(tamper, int) or isinstance(tamper, bool):
             raise ConfigError("'tamper_shift_n' must be an integer")
-        return cls(state=state, out_dir=out_dir, tamper_shift_n=tamper, **sections)
+        return cls(state=state, grids=grids, out_dir=out_dir, tamper_shift_n=tamper)
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
@@ -214,11 +205,10 @@ def parse_coefficient(text: str) -> tuple[int, complex]:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    """The --config file with the --grid, --tol and --tamper-shift-n flags folded in."""
+    """The --config file with the --grid and --tamper-shift-n flags folded in."""
     path = getattr(args, "config", None)
     config = ScenarioConfig() if path is None else ScenarioConfig.load(path)
-    for section in _SETTINGS:
-        getattr(config, section).update(getattr(args, section, None) or ())
+    config.grids.update(getattr(args, "grids", None) or ())
     tamper = getattr(args, "tamper_shift_n", None)
     if tamper is not None:
         config.tamper_shift_n = tamper
@@ -376,8 +366,7 @@ def cmd_chi2(args: argparse.Namespace) -> int:
 def cmd_conditional(args: argparse.Namespace) -> int:
     config = _load_config(args)
     state = _resolve_state(args, config)
-    cond = conditional_state(state, args.theta, args.phi,
-                             log_tol=config.tolerances.get("log_chi", LOG_CHI_TOL))
+    cond = conditional_state(state, args.theta, args.phi)
     print(f"theta = {args.theta:.12g}, phi = {args.phi:.12g}, "
           f"chi^2 = {cond.norm_chi2:.12g}")
     print(f"{'n':>6} {'re':>24} {'im':>24} {'prob':>22}")
@@ -482,24 +471,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     theta, phi = args.theta, args.phi
     try:
-        cond = conditional_state(state, theta, phi,
-                                 log_tol=config.tolerances.get("log_chi", LOG_CHI_TOL))
-        norm = cond.norm()
+        norm = conditional_state(state, theta, phi).norm()
+        order = schrodinger_order_study(state, theta, phi).order
         checks.append(_check("conditional_norm_unit", abs(norm - 1.0), 1e-12,
                              f"norm at theta={theta:.4f} is {norm:.15f}"))
+        checks.append(_check("schrodinger_order_two", abs(order - 2.0), 0.1,
+                             f"finite-difference convergence order = {order:.4f}"))
     except DegenerateTheta as exc:
-        # no state to normalize: its norm counts as 0
-        checks.append(_check("conditional_norm_unit", 1.0, 1e-12,
-                             f"conditional state undefined: {exc}"))
-
-    try:
-        study = schrodinger_order_study(state, theta, phi)
-        checks.append(_check("schrodinger_order_two", abs(study.order - 2.0), 0.1,
-                             f"finite-difference convergence order = {study.order:.4f}"))
-    except DegenerateTheta as exc:
-        # no evolution to difference: its order counts as 0
-        checks.append(_check("schrodinger_order_two", 2.0, 0.1,
-                             f"conditional state undefined: {exc}"))
+        # no state to normalize or difference: its norm and order count as 0
+        checks += [_check("conditional_norm_unit", 1.0, 1e-12,
+                          f"conditional state undefined: {exc}"),
+                   _check("schrodinger_order_two", 2.0, 0.1,
+                          f"conditional state undefined: {exc}")]
 
     checks.append(_check(
         "beta_normalized", abs(total - 1.0), 1e-6,
@@ -648,9 +631,9 @@ def _add_state_flags(parser: argparse.ArgumentParser, coeff_help: str | None = N
                         metavar="K=COMPLEX", help=coeff_help)
 
 
-def _add_settings_flag(parser: argparse.ArgumentParser, flag: str, section: str,
+def _add_settings_flag(parser: argparse.ArgumentParser, flag: str,
                        key: str | None = None, help: str | None = None) -> None:
-    """The repeatable KEY=VALUE flag that overrides settings of ``section``.
+    """The repeatable KEY=VALUE flag that overrides grid settings.
 
     With ``key`` the flag takes a bare VALUE for that one setting, so
     ``--theta-count 64`` is ``--grid theta_count=64``; the last one given wins.
@@ -658,10 +641,10 @@ def _add_settings_flag(parser: argparse.ArgumentParser, flag: str, section: str,
     def parse(text: str) -> tuple[str, float | int]:
         name, _, value = (key, "=", text) if key else text.partition("=")
         try:
-            return name.strip(), _setting(section, name.strip(), value)
+            return name.strip(), _setting(name.strip(), value)
         except ConfigError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
-    parser.add_argument(flag, dest=section, action="append", type=parse,
+    parser.add_argument(flag, dest="grids", action="append", type=parse,
                         metavar=key.upper() if key else "KEY=VALUE", help=help)
 
 
@@ -688,8 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chi2 = sub.add_parser("chi2", help="tabulate chi^2(theta)")
     _add_state_flags(p_chi2)
-    _add_settings_flag(p_chi2, "--theta-count", "grids", key="theta_count")
-    _add_settings_flag(p_chi2, "--grid", "grids")
+    _add_settings_flag(p_chi2, "--theta-count", key="theta_count")
+    _add_settings_flag(p_chi2, "--grid")
     p_chi2.add_argument("--out", metavar="DIR")
     p_chi2.set_defaults(func=cmd_chi2)
 
@@ -697,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p_cond)
     p_cond.add_argument("--theta", type=_ANGLE, required=True)
     p_cond.add_argument("--phi", type=_FINITE, default=0.0)
-    _add_settings_flag(p_cond, "--tol", "tolerances", help="e.g. log_chi=-690")
     p_cond.set_defaults(func=cmd_conditional)
 
     p_schro = sub.add_parser("schrodinger",
@@ -728,18 +710,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--j-list", dest="j_list", type=_SPINS,
                        default=None, metavar="J1,J2,...",
                        help="spin values for chi2-largeJ (default 30,120,570)")
-    _add_settings_flag(p_fig, "--theta-count", "grids", key="theta_count")
-    _add_settings_flag(p_fig, "--samples", "grids", key="samples",
+    _add_settings_flag(p_fig, "--theta-count", key="theta_count")
+    _add_settings_flag(p_fig, "--samples", key="samples",
                        help="time samples per orbit for orbits-* figures")
-    _add_settings_flag(p_fig, "--grid", "grids",
+    _add_settings_flag(p_fig, "--grid",
                        help="override one grid parameter, e.g. q_count=801")
     p_fig.add_argument("--out", metavar="DIR")
     p_fig.set_defaults(func=cmd_figure)
 
     p_orb = sub.add_parser("orbits", help="sample the classical orbit family")
     _add_state_flags(p_orb)
-    _add_settings_flag(p_orb, "--samples", "grids", key="samples")
-    _add_settings_flag(p_orb, "--grid", "grids")
+    _add_settings_flag(p_orb, "--samples", key="samples")
+    _add_settings_flag(p_orb, "--grid")
     p_orb.add_argument("--out", metavar="DIR")
     p_orb.set_defaults(func=cmd_orbits)
 
@@ -747,7 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p_verify)
     p_verify.add_argument("--theta", type=_ANGLE, default=math.pi / 2)
     p_verify.add_argument("--phi", type=_FINITE, default=0.7)
-    _add_settings_flag(p_verify, "--tol", "tolerances")
     p_verify.add_argument("--tamper-shift-n", dest="tamper_shift_n", type=int,
                           default=None,
                           help="shift every Fock index by this amount before "

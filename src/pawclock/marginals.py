@@ -12,8 +12,8 @@ Three marginals of the joint clock-oscillator density are supported:
 
 Everything is evaluated at finite (J, M) in log space.  The energy integral
 of a branch pair is a Beta function, so its overlap is the closed form
-sqrt(binom(2J, k_i) binom(2J, k_j)) / binom(2J, (k_i + k_j)/2); momentum
-integrals use Gauss-Legendre nodes.
+sqrt(binom(2J, k_i) binom(2J, k_j)) / binom(2J, (k_i + k_j)/2); the momentum
+integrals are taken as below.
 
 The phase-space density depends on (Q, P) only through u = M(Q^2 + P^2)/2,
 so each branch is evaluated once per distinct u and gathered back to the grid.
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -305,14 +305,19 @@ def clock_interference_factor(two_j: int, k1: int, k2: int) -> float:
     return float(np.exp(_log_clock_overlap(two_j, k1, k2)))
 
 
-def oscillator_interference_factor(n1: int, n2: int) -> float:
-    """Gamma((n1+n2)/2 + 1) / sqrt(n1! n2!); 1 on the diagonal.
+def _log_oscillator_overlap(n1, n2):
+    """log of Gamma((n1+n2)/2 + 1) / sqrt(n1! n2!); scalar or array.
 
-    The Gamma function extends the midpoint factorial when n1+n2 is odd.
+    This is the plane L1 norm of |<z|n1><n2|z>| relative to the diagonal
+    terms.  The Gamma function extends the midpoint factorial when n1+n2 is
+    odd.
     """
-    half = 0.5 * (n1 + n2)
-    return float(np.exp(ln_factorial(half)
-                        - 0.5 * (ln_factorial(n1) + ln_factorial(n2))))
+    return ln_factorial(0.5 * (n1 + n2)) - 0.5 * (ln_factorial(n1) + ln_factorial(n2))
+
+
+def oscillator_interference_factor(n1: int, n2: int) -> float:
+    """Gamma((n1+n2)/2 + 1) / sqrt(n1! n2!); 1 on the diagonal."""
+    return float(np.exp(_log_oscillator_overlap(n1, n2)))
 
 
 def interference_suppression(two_j: int, m1_plus_j: int, m2_plus_j: int,
@@ -388,19 +393,17 @@ def _interference_condition(state: PawState, pairs: _BeatPairs) -> float:
     """kappa = sum |a_ij| / sum |a_ij| O_ij over the kept pairs; 1 with none.
 
     a_ij is the pair's ``coefficient`` and O_ij its oscillator factor
-    (``oscillator_interference_factor``), which is exactly the plane L1 norm
-    of |<z|n_i><n_j|z>|.  So kappa is how far the beat integrands cancel; for
+    (``_log_oscillator_overlap``), which is exactly the plane L1 norm of
+    |<z|n_i><n_j|z>|.  So kappa is how far the beat integrands cancel; for
     two branches it is 1/O.  The Husimi kernel's relative error in the
     integrated cross term is about c eps kappa with c between 7 and 150.
     """
     if pairs.first.size == 0:
         return 1.0
     n = np.array(state.n_values, dtype=float)
-    first, second = n[pairs.first], n[pairs.second]
-    log_overlap = (ln_factorial(0.5 * (first + second))
-                   - 0.5 * (ln_factorial(first) + ln_factorial(second)))
     weight = np.abs(pairs.coefficient)
-    damped = float(np.sum(weight * np.exp(log_overlap)))
+    overlap = np.exp(_log_oscillator_overlap(n[pairs.first], n[pairs.second]))
+    damped = float(np.sum(weight * overlap))
     return float(np.sum(weight)) / damped if damped > 0.0 else math.inf
 
 
@@ -603,15 +606,9 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
     first, second = np.triu_indices(moduli.size, 1)
     best = int(np.argmax(moduli[first] * moduli[second]))
     i, j = int(first[best]), int(second[best])
-    report = InterferenceReport(
-        clock_suppression_factor=clock_interference_factor(
-            state.two_j, state.support[i], state.support[j]),
-        oscillator_suppression_factor=oscillator_interference_factor(
-            state.n_values[i], state.n_values[j]),
-        i1=i1, i2=i2, i_int=i_int,
-        ratio=i_int / (i1 + i2),
-    )
-    return grid, report
+    report = interference_suppression(state.two_j, state.support[i], state.support[j],
+                                      state.n_values[i], state.n_values[j])
+    return grid, replace(report, i1=i1, i2=i2, i_int=i_int, ratio=i_int / (i1 + i2))
 
 
 def classical_limit_section(state: PawState, q_values) -> np.ndarray:

@@ -36,10 +36,6 @@ from .constraints import (
     reduce_ratio,
 )
 
-# Conditional states are undefined where chi^2 vanishes; anything whose log
-# falls below this is treated as a true zero rather than an underflow.
-LOG_CHI_TOL = -690.0
-
 _SERIAL_KEYS = {"two_J", "epsilon_over_omega", "M", "coefficients"}
 _COEFF_KEYS = {"m_plus_J", "re", "im"}
 
@@ -142,12 +138,18 @@ def build_state(clock: ClockSpec, oscillator: OscillatorSpec,
     if len(occupied) < 2:
         raise NotAdmissible("an entangled state needs at least two occupied branches")
 
-    norm = math.sqrt(sum(abs(c) ** 2 for _, c in occupied))
+    # Scaled by the power of two of the largest part, which is exact, the
+    # squares can neither underflow nor overflow; a state whose squares stay
+    # normal keeps the bits of c / sqrt(sum |c|^2).
+    _, exponent = math.frexp(max(max(abs(c.real), abs(c.imag)) for _, c in occupied))
+    scaled = [complex(math.ldexp(c.real, -exponent), math.ldexp(c.imag, -exponent))
+              for _, c in occupied]
+    root = math.sqrt(sum(abs(c) ** 2 for c in scaled))
     support = tuple(k for k, _ in occupied)
     ratios = CouplingRatios.from_parameters(kr, clock.two_j, oscillator.mass)
     return PawState(clock=clock, oscillator=oscillator, ratios=ratios, family=family,
                     support=support, n_values=tuple(levels[k] for k in support),
-                    amplitudes=np.array([c / norm for _, c in occupied]))
+                    amplitudes=np.array([c / root for c in scaled]))
 
 
 def assemble_state(two_j: int, mass: int, eps_over_omega, coefficients,
@@ -268,7 +270,8 @@ class ConditionalState:
     """Normalized oscillator state conditioned on the clock reading (theta, phi).
 
     ``vector`` holds the amplitude of each branch, on the Fock levels
-    ``n_values``; ``norm_chi2`` is the chi^2(theta) that normalized them.
+    ``n_values``; ``norm_chi2`` is the chi^2(theta) that normalized them,
+    0.0 where it underflows a double (the vector is normalized in log space).
     """
 
     theta: float
@@ -281,20 +284,20 @@ class ConditionalState:
         return float(np.linalg.norm(self.vector))
 
 
-def _clock_moduli(state: PawState, theta: float,
-                  log_tol: float = LOG_CHI_TOL) -> tuple[list[float], float]:
+def _clock_moduli(state: PawState, theta: float) -> tuple[list[float], float]:
     """The conditional branch moduli |c_m <Omega|J, m>| / chi(theta), and log chi^2.
 
     Both depend on theta alone; phi only turns the phases (``_phased``).  The
-    division happens in log space, so the moduli are exactly normalized even
-    when individual overlaps underflow.  Raises DegenerateTheta where chi^2
-    vanishes (at theta = 0, and at theta = pi when the top level is unoccupied).
+    division happens in log space, so the moduli are normalized however far
+    chi^2 or individual overlaps underflow a double.  Raises DegenerateTheta
+    only where chi^2 is exactly 0: at theta = 0, since every occupied level
+    has m+J >= 1.  The float nearest pi lies 1.2e-16 below it, where chi^2 > 0,
+    so a state with an empty top level there conditions on its highest branch.
     """
     lm = scs_log_magnitude(theta, state.two_j, state.support)
     log_chi2 = float(logsumexp(state._log_weights + 2.0 * lm))
-    if log_chi2 < log_tol:
-        raise DegenerateTheta(
-            f"log chi^2 = {log_chi2:.1f} at theta = {theta!r}: below tolerance")
+    if log_chi2 == -math.inf:
+        raise DegenerateTheta(f"chi^2 = 0 at theta = {theta!r}")
     moduli = [math.exp(math.log(abs(c)) + log_overlap - 0.5 * log_chi2)
               for c, log_overlap in zip(state.amplitudes.tolist(), lm.tolist())]
     return moduli, log_chi2
@@ -308,14 +311,13 @@ def _phased(state: PawState, moduli: list[float], phi: float) -> np.ndarray:
                                               state.support)])
 
 
-def conditional_state(state: PawState, theta: float, phi: float,
-                      log_tol: float = LOG_CHI_TOL) -> ConditionalState:
+def conditional_state(state: PawState, theta: float, phi: float) -> ConditionalState:
     """Project the global state on the clock coherent state at (theta, phi).
 
     The branch amplitudes are c_m <Omega|J, m> / chi(theta): the moduli of
     ``_clock_moduli``, phased at phi.
     """
-    moduli, log_chi2 = _clock_moduli(state, theta, log_tol)
+    moduli, log_chi2 = _clock_moduli(state, theta)
     return ConditionalState(theta=theta, phi=phi, n_values=state.n_values,
                             vector=_phased(state, moduli, phi),
                             norm_chi2=math.exp(log_chi2))

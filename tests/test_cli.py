@@ -15,13 +15,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pawclock
 from pawclock import cli
 from pawclock.cli import build_parser
-from pawclock.pawstate import LOG_CHI_TOL, assemble_state, log_chi_squared
 
 BASE = [sys.executable, "-m", "pawclock"]
 SPIN3 = ["--two-j", "6", "--m", "1", "--kappa-r", "3/4"]
@@ -145,36 +144,20 @@ def test_inadmissible_state_exits_four(tmp_path):
     assert "not admissible" in result.stderr
 
 
-# log chi^2 = -940.5 at this reading: degenerate under the default -690 cut
+# balanced M = 170 at a reading where chi^2 = e^-940.5 underflows a double
 FAR_READING = ["--two-j", "510", "--m", "170", "--kappa-r", "1/2",
                "--coeff", "171=1", "--coeff", "341=1", "--theta", "0.05"]
 
 
 def test_degenerate_theta_exits_one():
-    result = run_cli("conditional", *FAR_READING)
+    """chi^2 is exactly 0 only at theta = 0; where it merely underflows, the
+    conditional state is printed under chi^2 = 0 with norm 1."""
+    result = run_cli("conditional", *FAR_READING[:-1], "0")
     assert result.returncode == 1
     assert "error:" in result.stderr
-
-
-def test_log_chi_tolerance_from_flag_and_config(tmp_path):
-    """--tol and the config's tolerances both lower the cut; the flag wins."""
-    config = tmp_path / "tolerances.json"
-    config.write_text(json.dumps({"tolerances": {"log_chi": -2000}}))
-    assert run_cli("conditional", *FAR_READING, "--tol", "log_chi=-2000").returncode == 0
-    assert run_cli("conditional", *FAR_READING, "--config", str(config)).returncode == 0
-    result = run_cli("conditional", *FAR_READING, "--config", str(config),
-                     "--tol", "log_chi=-690")
-    assert result.returncode == 1
-    assert "error:" in result.stderr
-
-
-def test_verify_reads_config_tolerance(tmp_path):
-    config = tmp_path / "tolerances.json"
-    config.write_text(json.dumps({"tolerances": {"log_chi": -2000}}))
-    result = run_cli("verify", *FAR_READING, "--config", str(config))
-    report = json.loads(result.stdout)
-    norm = next(c for c in report["checks"] if c["name"] == "conditional_norm_unit")
-    assert norm["passed"] is True, norm
+    result = run_cli("conditional", *FAR_READING, check=True)
+    lines = result.stdout.splitlines()
+    assert lines[0].endswith(", chi^2 = 0") and lines[-1] == "norm = 1.000000000000000"
 
 
 MALFORMED_SETTINGS = {
@@ -438,13 +421,8 @@ def test_verify_passes_valid_and_catches_tampered_states(args):
     """A valid state passes every check.  Its copy with every Fock level shifted
     by one fails the constraint check and passes the checks that do not read
     the levels: both normalizations and the conditional norm.
-
-    States whose branches all sit so near the poles that chi^2 vanishes at the
-    default reading theta = pi/2 have no conditional state there and are skipped.
     """
     two_j, mass, ratio, coefficients = args
-    assume(log_chi_squared(assemble_state(two_j, mass, ratio, coefficients),
-                           math.pi / 2) > LOG_CHI_TOL)
     argv = ["verify", "--two-j", str(two_j), "--m", str(mass), "--kappa-r", ratio]
     for key, value in coefficients.items():
         argv += ["--coeff", f"{key}={value!r}"]
@@ -455,6 +433,32 @@ def test_verify_passes_valid_and_catches_tampered_states(args):
     assert code == 1 and "constraint_residual_zero" in failed, failed
     assert not failed & {"chi_squared_normalized", "beta_normalized",
                          "conditional_norm_unit"}, failed
+
+
+# Valid states at the edges of double range: every branch near a pole, where
+# chi^2(pi/2) is e^-745 and e^-13837, and coefficients whose squares, or
+# whose modulus, under- or overflow a double.
+EDGE_STATES = {
+    "pole-2J-1103": ["--two-j", "1103", "--m", "34", "--kappa-r", "3/2",
+                     "--coeff", "3=1", "--coeff", "1=1e-84"],
+    "pole-2J-20000": ["--two-j", "20000", "--m", "34", "--kappa-r", "3/2",
+                      "--coeff", "1=2", "--coeff", "3=1"],
+    "squares-underflow": ["--two-j", "30", "--m", "10", "--kappa-r", "1/2",
+                          "--coeff", "1=1e-170", "--coeff", "5=1e-170"],
+    "squares-overflow": ["--two-j", "30", "--m", "10", "--kappa-r", "1/2",
+                         "--coeff", "1=1e200", "--coeff", "5=1e200"],
+    "subnormal": ["--two-j", "30", "--m", "10", "--kappa-r", "1/2",
+                  "--coeff", "1=5e-324", "--coeff", "5=1e-320"],
+    "modulus-overflow": ["--two-j", "30", "--m", "10", "--kappa-r", "1/2",
+                         "--coeff", "1=1.5e308+1.5e308j", "--coeff", "5=1e308"],
+}
+
+
+@pytest.mark.parametrize("case", EDGE_STATES)
+def test_verify_passes_at_the_edges_of_double_range(case):
+    result = run_cli("verify", *EDGE_STATES[case])
+    assert result.returncode == 0, result.stderr or result.stdout
+    assert json.loads(result.stdout)["all_passed"] is True
 
 
 def test_verify_memory_does_not_grow_with_spin():
@@ -476,8 +480,8 @@ def test_verify_at_degenerate_theta_still_reports():
     assert result.returncode == 1
     report = json.loads(result.stdout)
     assert report["all_passed"] is False
-    failed = {c["name"] for c in report["checks"] if not c["passed"]}
-    assert failed == {"conditional_norm_unit", "schrodinger_order_two"}
+    failed = {c["name"]: c["value"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"conditional_norm_unit": 1.0, "schrodinger_order_two": 2.0}
     names = {check["name"] for check in report["checks"]}
     assert names == {"constraint_residual_zero", "pair_enumeration_matches_search",
                      "chi_squared_normalized", "conditional_norm_unit",

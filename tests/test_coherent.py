@@ -403,7 +403,6 @@ def test_no_module_imports_scipy():
 # from the ROADMAP item named beside it.
 UNCALLED_EXPORTS = {
     "classical_limit_section",  # item 6
-    "interference_suppression",  # item 6
     "space_time_diagonal",  # item 6
     "stationary_residual",  # item 7
     "hamilton_residual",  # item 7

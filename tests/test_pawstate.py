@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,31 @@ def test_build_state_normalizes_and_orders():
     assert np.abs(state.amplitudes) == pytest.approx([0.8, 0.6])
     norm = sum(abs(c) ** 2 for c in state.amplitudes.tolist())
     assert norm == pytest.approx(1.0, abs=1e-15)
+
+
+def _part():
+    """A coefficient's real or imaginary part: 0 or |x| in [1e-20, 1e20], either sign."""
+    return st.one_of(st.just(0.0), st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                                            st.sampled_from([-1.0, 1.0]),
+                                            st.floats(-20.0, 20.0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coefficients=st.dictionaries(st.sampled_from(range(1, 30, 2)),
+                                    st.builds(complex, _part(), _part()).filter(bool),
+                                    min_size=2, max_size=5),
+       power=st.integers(-900, 900))
+def test_build_state_normalization_is_scale_free(coefficients, power):
+    """Scaling every coefficient by 2^power, which keeps each part normal,
+    leaves the amplitudes bitwise equal, and both equal c / sqrt(sum |c|^2)."""
+    def amplitudes(scale):
+        scaled = {k: complex(math.ldexp(c.real, scale), math.ldexp(c.imag, scale))
+                  for k, c in coefficients.items()}
+        return assemble_state(30, 10, Fraction(1, 2), scaled).amplitudes
+
+    norm = math.sqrt(sum(abs(coefficients[k]) ** 2 for k in sorted(coefficients)))
+    direct = np.array([coefficients[k] / norm for k in sorted(coefficients)])
+    assert amplitudes(power).tobytes() == amplitudes(0).tobytes() == direct.tobytes()
 
 
 def test_build_state_rejects_mismatched_ratio():
@@ -215,12 +241,59 @@ def test_conditional_state_normalized_everywhere():
 
 
 def test_conditional_state_degenerate_at_origin():
-    state = spin3_pair_state()
-    with pytest.raises(DegenerateTheta):
-        conditional_state(state, 0.0, 0.0)
-    # chi^2 below the representable floor counts as degenerate too
-    with pytest.raises(DegenerateTheta):
-        conditional_state(balanced_two_level_state(170), 0.05, 0.0)
+    """chi^2 is exactly 0 only at theta = 0; where it underflows a double the
+    conditional state is still normalized."""
+    for state in (spin3_pair_state(), balanced_two_level_state(170)):
+        with pytest.raises(DegenerateTheta):
+            conditional_state(state, 0.0, 0.0)
+    cond = conditional_state(balanced_two_level_state(170), 0.05, 0.0)
+    assert cond.norm_chi2 == 0.0
+    assert cond.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def mp_conditional_moduli(state, theta: float) -> list[float]:
+    """|c_m <Omega|J, m>| / chi(theta) at 50 digits, from the state's amplitudes."""
+    with mpmath.workdps(50):
+        half, two_j = mpmath.mpf(theta) / 2, state.two_j
+        logs = [mpmath.log(abs(mpmath.mpc(c)))
+                + (mpmath.loggamma(two_j + 1) - mpmath.loggamma(k + 1)
+                   - mpmath.loggamma(two_j - k + 1)) / 2
+                + (two_j - k) * mpmath.log(mpmath.cos(half)) + k * mpmath.log(mpmath.sin(half))
+                for c, k in zip(state.amplitudes.tolist(), state.support)]
+        log_chi = mpmath.log(mpmath.fsum(mpmath.exp(2 * x) for x in logs)) / 2
+        return [float(mpmath.exp(x - log_chi)) for x in logs]
+
+
+# Readings where chi^2 underflows a double: (state, theta, log chi^2).
+FAR_READINGS = {
+    "balanced-170-theta-0.05": (lambda: balanced_two_level_state(170), 0.05, -940.5),
+    "balanced-170-theta-pi": (lambda: balanced_two_level_state(170), math.pi, -12298.2),
+    "pole-2J-1103": (lambda: assemble_state(1103, 34, Fraction(3, 2), {3: 1.0, 1: 1e-84}),
+                     math.pi / 2, -745.3),
+    "pole-2J-20000": (lambda: assemble_state(20000, 34, Fraction(3, 2), {1: 2.0, 3: 1.0}),
+                      math.pi / 2, -13836.6),
+}
+
+
+@pytest.mark.parametrize("case", FAR_READINGS)
+def test_conditional_moduli_match_mpmath_where_chi_squared_underflows(case):
+    """The moduli are rounded as |log chi^2| * eps, from the log-space overlaps."""
+    make, theta, log_chi2 = FAR_READINGS[case]
+    state = make()
+    assert log_chi_squared(state, theta) == pytest.approx(log_chi2, abs=0.05)
+    cond = conditional_state(state, theta, 0.7)
+    bound = 4.0 * np.finfo(float).eps * abs(log_chi2)
+    assert np.abs(cond.vector) == pytest.approx(mp_conditional_moduli(state, theta),
+                                                abs=bound, rel=0)
+
+
+def test_conditional_state_at_float_pi_is_the_highest_branch():
+    """The float nearest pi lies 1.2e-16 below it, where chi^2 > 0: a state with
+    an empty top level conditions on its highest branch, n = 170 here."""
+    cond = conditional_state(balanced_two_level_state(170), math.pi, 0.0)
+    assert cond.n_values == (85, 170)
+    assert abs(cond.vector[1]) == pytest.approx(1.0, abs=1e-15)
+    assert abs(cond.vector[0]) < 1e-300
 
 
 def test_conditional_survives_underflowing_branches():
