@@ -16,7 +16,7 @@ verify reports the chi^2 and |beta|^2 normalizations as sum |c_m|^2, which
 the resolutions of identity on the clock sphere and the oscillator plane make
 their exact integrals; no quadrature runs, and verify costs O(N + 2J).
 
-Exit codes: 0 success, 1 runtime failure (including failed verification),
+Exit codes: 0 success, 1 runtime failure (failed verification, no memory),
 2 malformed arguments or config, 3 unknown figure name, 4 state that is not
 entanglement-admissible (or otherwise cannot be assembled).
 """
@@ -753,6 +753,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -28,11 +28,16 @@ smoothing of Hermite-function products:
 C_ij(Q) = 2 sqrt(pi/M) int dx psi_{n_i}(x) psi_{n_j}(x) e^{-(sqrt(M) Q - x)^2}.
 One table of psi_n on a uniform x grid, the kept pairs summed per beat
 d = k_i - k_j into B_d(x), and one Gaussian kernel K(Q, x) give the branch
-and beat rows as two matrix products; the (Q, t) grid is then one product of
-a (Q x beats) and a (beats x t) matrix.  For Fock pairs far apart the
+and beat rows as one matrix product; the (Q, t) grid is then the real part
+of a (Q x beats) by (beats x t) product.  For Fock pairs far apart the
 smoothing cancels: its relative error grows with the condition number kappa
 of ``_interference_condition``, and states above ``_KAPPA_MAX`` keep the
-momentum quadrature, one Gram product per block of Q rows.
+momentum quadrature, one Gram product per Q row.
+
+Every matrix product here goes through ``_product``, whose BLAS calls are
+small enough that OpenBLAS runs each on the calling thread: the bits of the
+space-time marginal do not depend on the BLAS thread count, and no BLAS
+worker is woken to spin idle after a call.
 """
 
 from __future__ import annotations
@@ -72,6 +77,11 @@ _PAIR_CHUNK = 64
 _KAPPA_MAX = 10.0
 # sqrt of the smallest normal double: products of larger numbers stay normal.
 _FLUSH = math.sqrt(sys.float_info.min)
+# Multiply-adds per BLAS call of ``_product``.  OpenBLAS 0.3.31 kept real
+# products of up to 7.9e5 on the calling thread at two threads, 1.0e6 not.
+_BLAS_BOUND = 2 ** 18
+# Inner-axis chunk of a ``_product`` above the bound.
+_INNER = 128
 
 
 def _worker_count() -> int:
@@ -407,6 +417,64 @@ def _interference_condition(state: PawState, pairs: _BeatPairs) -> float:
     return float(np.sum(weight)) / damped if damped > 0.0 else math.inf
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for real 2-D a and real 1-D or 2-D b, or stacks of both, in BLAS
+    calls of at most ``_BLAS_BOUND`` multiply-adds.
+
+    OpenBLAS runs a call that small on the calling thread at every thread
+    count, so the bits do not depend on that count and no worker wakes to
+    spin after the call.  A product within the bound is ``a @ b``, one call
+    per slice of a stack.  A larger one cuts the inner axis into ``_INNER``
+    chunks, summed in order, and each chunk into tiles of rows and columns
+    fixed by the shapes, one stacked matmul per chunk and column block.  Rows
+    of ``a`` that are zero across a chunk add exactly zero, so a chunk skips
+    the row blocks before its first and after its last nonzero row without
+    changing a bit.
+    """
+    rows, inner = a.shape[-2:]
+    cols = 1 if b.ndim == 1 else b.shape[-1]
+    if rows * inner * cols <= _BLAS_BOUND:
+        return a @ b
+    if a.ndim == 3:
+        return np.stack([_product(part, right) for part, right in zip(a, b)])
+    columns = np.ascontiguousarray(b.reshape(inner, cols))  # tiles of b.T run at half speed
+    depth = min(inner, _INNER)
+    width = min(cols, _BLAS_BOUND // (16 * depth))  # tiles at least 16 rows tall
+    tall = _BLAS_BOUND // (depth * width)
+    out = np.empty((rows, cols))
+    if inner == depth:  # one chunk: the tiles are the result
+        whole = rows // tall * tall
+        blocks = a[:whole].reshape(-1, tall, inner)
+        for col in range(0, cols, width):
+            right, target = columns[:, col:col + width], out[:, col:col + width]
+            np.matmul(blocks, right, out=target[:whole].reshape(-1, tall, right.shape[1]))
+            np.matmul(a[whole:], right, out=target[whole:])
+        return out.reshape((rows,) + b.shape[1:])
+    out[:] = 0.0
+    starts = range(0, inner, depth)
+    live = np.logical_or.reduceat(a != 0.0, starts, axis=1)
+    tiles = np.empty(rows * width)
+    for index, start in enumerate(starts):
+        nonzero = np.flatnonzero(live[:, index])
+        if nonzero.size == 0:
+            continue
+        # whole blocks from the one holding the first nonzero row; a short
+        # block only at the end of a
+        low = nonzero[0] // tall * tall
+        high = min(-(-(nonzero[-1] + 1) // tall) * tall, rows)
+        whole = low + (high - low) // tall * tall
+        left = a[:, start:start + depth]
+        blocks = left[low:whole].reshape(-1, tall, left.shape[1])
+        for col in range(0, cols, width):
+            right = columns[start:start + depth, col:col + width]
+            target = out[:, col:col + width]
+            result = tiles[:(whole - low) * right.shape[1]].reshape(-1, right.shape[1])
+            np.matmul(blocks, right, out=result.reshape(-1, tall, right.shape[1]))
+            target[low:whole] += result
+            target[whole:high] += left[whole:high] @ right
+    return out.reshape((rows,) + b.shape[1:])
+
+
 def _row_kernel(state: PawState, pairs: _BeatPairs):
     """The Husimi kernel for states with kappa <= _KAPPA_MAX, else the Gram one."""
     if _interference_condition(state, pairs) <= _KAPPA_MAX:
@@ -453,7 +521,7 @@ def _husimi_rows(state: PawState, q_values: np.ndarray,
     frequency 2 sqrt(2 n_max + 1) with 32 to spare, where the Gaussian's
     spectrum is e^{-256}.  Returns ``branch`` (rows x N), the C_ii, and
     ``beat`` (rows x beats), each beat's sum of coefficient * C_ij over
-    ``pairs``, as two products with one kernel matrix K(Q, x).
+    ``pairs``, from one product with the kernel matrix K(Q, x).
     """
     width = math.sqrt(2.0 * max(state.n_values) + 1.0)
     step = 2.0 * math.pi / (2.0 * width + 32.0)
@@ -466,26 +534,60 @@ def _husimi_rows(state: PawState, q_values: np.ndarray,
     np.exp(kernel, out=kernel)
     kernel[kernel < _FLUSH] = 0.0
     kernel *= 2.0 * math.sqrt(math.pi / state.mass) * step
-    branch = kernel @ np.square(psi).T
-    if pairs is None or pairs.beats.size == 0:
-        return branch, np.zeros((q_values.size, 0), dtype=complex)
-    # B_d(x) = sum of coefficient * psi_i psi_j over the pairs of beat d, as
-    # real and imaginary parts.  The pairs are sorted by beat, so a chunk's
-    # beats are one run of rows and its weighted sum is one small product.
+    n = psi.shape[0]
+    beats = 0 if pairs is None else pairs.beats.size
+    # one row per psi_i^2, then B_d(x) = sum of coefficient * psi_i psi_j over
+    # the pairs of beat d, as real and imaginary parts
+    integrands = np.zeros((n + 2 * beats, x.size))
+    np.square(psi, out=integrands[:n])
+    if beats:
+        _beat_sums(psi, pairs, integrands[n:].reshape(2, beats, x.size))
+    # Entries below sqrt(tiny) would meet kernel entries near sqrt(tiny) in
+    # subnormal products, which run at a fraction of the normal speed.
+    integrands[np.abs(integrands) < _FLUSH] = 0.0
+    rows = _product(kernel, integrands.T)
+    return rows[:, :n], rows[:, n:n + beats] + 1j * rows[:, n + beats:]
+
+
+def _beat_sums(psi: np.ndarray, pairs: _BeatPairs, sums: np.ndarray) -> None:
+    """Add each beat's sum of coefficient * psi_i psi_j to ``sums`` (2 x beats x X).
+
+    The pairs are sorted by beat and taken in chunks of at most
+    ``_PAIR_CHUNK``: whole beats, at most ``span`` of them, or a piece of
+    one longer beat.  A chunk's beats are one run of rows, so its weighted
+    sum is one product, within ``_BLAS_BOUND`` up to 2048 x nodes.  A chunk
+    whose pairs run (i, j), (i + 1, j + 1), ..., as a beat of equally spaced
+    levels does, reads its rows of psi as two slices instead of two gathers.
+    """
+    count, nodes = pairs.first.size, psi.shape[1]
+    span = max(1, _BLAS_BOUND // (2 * _PAIR_CHUNK * nodes))
     parts = np.stack([pairs.coefficient.real, pairs.coefficient.imag])
-    beat_of = np.repeat(np.arange(pairs.beats.size),
-                        np.diff(pairs.starts, append=pairs.first.size))
-    sums = np.zeros((2, pairs.beats.size, x.size))
-    for start in range(0, pairs.first.size, _PAIR_CHUNK):
-        chunk = slice(start, start + _PAIR_CHUNK)
-        products = psi[pairs.first[chunk]]
-        products *= psi[pairs.second[chunk]]
-        local = beat_of[chunk] - beat_of[start]
-        weights = np.zeros((2, local[-1] + 1, local.size))
-        weights[:, local, np.arange(local.size)] = parts[:, chunk]
-        sums[:, beat_of[start]:beat_of[start] + local[-1] + 1] += weights @ products
-    rows = kernel @ sums.reshape(-1, x.size).T
-    return branch, rows[:, :pairs.beats.size] + 1j * rows[:, pairs.beats.size:]
+    beat_of = np.repeat(np.arange(pairs.beats.size), np.diff(pairs.starts, append=count))
+    ends = np.append(pairs.starts, count)
+    run_of = np.cumsum(np.diff(pairs.first, prepend=-2) != 1)
+    run_of += np.cumsum(np.diff(pairs.second, prepend=-2) != 1)
+    start = 0
+    while start < count:
+        first_beat = beat_of[start]
+        stop = start + _PAIR_CHUNK
+        if ends[first_beat + 1] <= stop:
+            last = np.searchsorted(ends, stop, side="right") - 1
+            stop = ends[min(last, first_beat + span)]
+        if run_of[stop - 1] == run_of[start]:
+            i, j = pairs.first[start], pairs.second[start]
+            products = psi[i:i + stop - start] * psi[j:j + stop - start]
+        else:
+            products = psi[pairs.first[start:stop]]
+            products *= psi[pairs.second[start:stop]]
+        local = beat_of[start:stop] - first_beat
+        if local[-1] == 0:
+            weights = parts[:, start:stop]
+        else:
+            weights = np.zeros((2, local[-1] + 1, local.size))
+            weights[:, local, np.arange(local.size)] = parts[:, start:stop]
+        sums[:, first_beat:first_beat + local[-1] + 1] += _product(
+            weights.reshape(-1, local.size), products).reshape(2, -1, nodes)
+        start = stop
 
 
 def _gram_rows(state: PawState, q_values: np.ndarray, pairs: _BeatPairs):
@@ -531,7 +633,7 @@ def _gram_rows(state: PawState, q_values: np.ndarray, pairs: _BeatPairs):
             np.multiply(g[:, level - 1], factors[step_of[level - 1]], out=g[:, level])
         g *= magnitude
         parts = g.view(np.float64)  # (Re, Im) pairs along P
-        gram = parts @ parts.swapaxes(1, 2)
+        gram = _product(parts, parts.swapaxes(1, 2))
         # a copy, not a view that would keep gram alive
         branches.append(np.diagonal(gram, axis1=1, axis2=2).copy())
         products = np.take(gram.reshape(q.shape[0], -1), kept, axis=1) * pairs.coefficient
@@ -548,7 +650,7 @@ def space_time_diagonal(state: PawState, q_values) -> np.ndarray:
     branch, _ = _husimi_rows(state, q_values)
     prefactor = state.clock.epsilon / (2.0 * math.pi)
     plane_norm = state.mass / (2.0 * math.pi)
-    return prefactor * plane_norm * (branch @ np.abs(state.amplitudes) ** 2)
+    return prefactor * plane_norm * _product(branch, np.abs(state.amplitudes) ** 2)
 
 
 def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
@@ -582,11 +684,25 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
 
     pairs = _beat_pairs(state)
     branch, beat = _row_kernel(state, pairs)(state, q_values, pairs)
-    diagonal = plane_norm * (branch @ moduli ** 2)
+    diagonal = plane_norm * _product(branch, moduli ** 2)
+    # Re(beat @ phases) from two real products, half the flops of a complex one
     phases = np.exp(1j * np.outer(pairs.beats * epsilon, t_axis.values))
-    cross = plane_norm * (beat @ phases).real
+    cross = _product(np.ascontiguousarray(beat.real), np.ascontiguousarray(phases.real))
+    sine = _product(np.ascontiguousarray(beat.imag), np.ascontiguousarray(phases.imag))
+    cross -= sine
+    cross *= plane_norm
+    # |cross| into the sine part and the grid into cross: each fresh grid-sized
+    # array costs a page fault per 4 KiB
+    i_int = prefactor * float(np.mean(_trapezoid(np.abs(cross, out=sine), q_values, axis=0)))
+    diag_integrals = sorted(
+        prefactor * moduli ** 2 * plane_norm * _trapezoid(branch, q_values, axis=0),
+        reverse=True)
+    i1 = float(diag_integrals[0])
+    i2 = float(sum(diag_integrals[1:]))
 
-    values = prefactor * (diagonal[:, None] + cross)
+    values = cross
+    values += diagonal[:, None]
+    values *= prefactor
     floor = float(values.min())
     if floor < 0.0:
         if floor < -1e-9 * float(values.max()):
@@ -595,13 +711,6 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
     grid = DistributionGrid(
         axes=(q_axis, t_axis), values=values,
         measure="eps/(2*pi), energy and momentum integrated out")
-
-    diag_integrals = sorted(
-        prefactor * moduli ** 2 * plane_norm * _trapezoid(branch, q_values, axis=0),
-        reverse=True)
-    i1 = float(diag_integrals[0])
-    i2 = float(sum(diag_integrals[1:]))
-    i_int = prefactor * float(np.mean(_trapezoid(np.abs(cross), q_values, axis=0)))
 
     first, second = np.triu_indices(moduli.size, 1)
     best = int(np.argmax(moduli[first] * moduli[second]))

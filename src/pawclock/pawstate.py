@@ -287,20 +287,26 @@ class ConditionalState:
 def _clock_moduli(state: PawState, theta: float) -> tuple[list[float], float]:
     """The conditional branch moduli |c_m <Omega|J, m>| / chi(theta), and log chi^2.
 
-    Both depend on theta alone; phi only turns the phases (``_phased``).  The
-    division happens in log space, so the moduli are normalized however far
-    chi^2 or individual overlaps underflow a double.  Raises DegenerateTheta
-    only where chi^2 is exactly 0: at theta = 0, since every occupied level
-    has m+J >= 1.  The float nearest pi lies 1.2e-16 below it, where chi^2 > 0,
-    so a state with an empty top level there conditions on its highest branch.
+    Both depend on theta alone; phi only turns the phases (``_phased``).  Each
+    log modulus log|c| + log<Omega|J,m> is shifted by the largest before it is
+    exponentiated, and the shifted moduli are divided by their own norm, so
+    they are normalized to rounding however far chi^2 or single overlaps
+    underflow a double; log chi^2, up to ~0.7*2J in size, never enters them.
+    Raises DegenerateTheta only where chi^2 is exactly 0: at theta = 0, since
+    every occupied level has m+J >= 1.  The float nearest pi lies 1.2e-16
+    below it, where chi^2 > 0, so a state with an empty top level there
+    conditions on its highest branch.
     """
     lm = scs_log_magnitude(theta, state.two_j, state.support)
     log_chi2 = float(logsumexp(state._log_weights + 2.0 * lm))
     if log_chi2 == -math.inf:
         raise DegenerateTheta(f"chi^2 = 0 at theta = {theta!r}")
-    moduli = [math.exp(math.log(abs(c)) + log_overlap - 0.5 * log_chi2)
-              for c, log_overlap in zip(state.amplitudes.tolist(), lm.tolist())]
-    return moduli, log_chi2
+    logs = [math.log(abs(c)) + log_overlap
+            for c, log_overlap in zip(state.amplitudes.tolist(), lm.tolist())]
+    peak = max(logs)
+    shifted = [math.exp(log - peak) for log in logs]
+    norm = math.sqrt(math.fsum(modulus * modulus for modulus in shifted))
+    return [modulus / norm for modulus in shifted], log_chi2
 
 
 def _phased(state: PawState, moduli: list[float], phi: float) -> np.ndarray:

@@ -98,6 +98,20 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_out_of_memory_exits_one(monkeypatch, tmp_path, capsys):
+    """A MemoryError, as numpy raises for an oversize grid, exits 1 with one
+    error line and no traceback; nothing large is allocated here."""
+    numpy_message = "Unable to allocate 5.97 GiB for an array with shape (801, 1000000)"
+    for message in (numpy_message, ""):
+        def figure(*_, message=message):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._FIGURES, "marg-qt", figure)
+        assert cli.main(["figure", "marg-qt", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: out of memory{': ' + message if message else ''}\n"
+
+
 def test_stray_state_flag_exits_two():
     result = run_cli("build", "--kappa-r", "3/4")
     assert result.returncode == 2
@@ -436,12 +450,14 @@ def test_verify_passes_valid_and_catches_tampered_states(args):
 
 
 # Valid states at the edges of double range: every branch near a pole, where
-# chi^2(pi/2) is e^-745 and e^-13837, and coefficients whose squares, or
+# chi^2(pi/2) is e^-745, e^-13837 and e^-41559, and coefficients whose squares, or
 # whose modulus, under- or overflow a double.
 EDGE_STATES = {
     "pole-2J-1103": ["--two-j", "1103", "--m", "34", "--kappa-r", "3/2",
                      "--coeff", "3=1", "--coeff", "1=1e-84"],
     "pole-2J-20000": ["--two-j", "20000", "--m", "34", "--kappa-r", "3/2",
+                      "--coeff", "1=2", "--coeff", "3=1"],
+    "pole-2J-60000": ["--two-j", "60000", "--m", "34", "--kappa-r", "3/2",
                       "--coeff", "1=2", "--coeff", "3=1"],
     "squares-underflow": ["--two-j", "30", "--m", "10", "--kappa-r", "1/2",
                           "--coeff", "1=1e-170", "--coeff", "5=1e-170"],

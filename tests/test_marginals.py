@@ -1,9 +1,14 @@
 """Unit tests for the quasi-probability marginals and interference factors."""
 
+import ast
+import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,11 +21,13 @@ from scipy.special import betainc, gammainc, gammaincc, gammaln
 from pawclock import marginals
 from pawclock.classical import theta_of_energy
 from pawclock.marginals import (
+    _BLAS_BOUND,
     DistributionGrid,
     EOutOfRange,
     GridAxis,
     InterferenceReport,
     _log_clock_overlap,
+    _product,
     _trapezoid,
     _worker_count,
     classical_limit_section,
@@ -521,6 +528,130 @@ def test_marginal_space_time_interference_oscillates_in_time():
     assert wobble.max() > 0.0 and wobble.min() < 0.0
     # and half a period in, the cross term has the opposite sign
     assert (section[0] - section.mean()) * (section[32] - section.mean()) < 0.0
+
+
+# Run in a child interpreter: the sha256 of each space-time output, as one
+# JSON line.
+THREAD_PROBE = """
+import hashlib, json, pathlib, tempfile
+from fractions import Fraction
+import numpy as np
+from pawclock import cli, marginals
+from pawclock.constraints import enumerate_pairs, reduce_ratio
+from pawclock.pawstate import assemble_state, dense_family_state
+
+def digest(*arrays):
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()
+
+fields = ("clock_suppression_factor", "oscillator_suppression_factor",
+          "i1", "i2", "i_int", "ratio")
+states = {f"dense-{m}": dense_family_state(m) for m in (10, 40, 170)}
+family = enumerate_pairs(reduce_ratio(Fraction(1, 2)), 510).pairs
+states["sparse-26"] = assemble_state(
+    two_j=510, mass=170, eps_over_omega=Fraction(1, 2),
+    coefficients={pair.m_plus_j: 1.0 for pair in family[::10]})
+out = {}
+for name, state in states.items():
+    grid, report = marginals.marginal_space_time(state)
+    out[name] = digest(grid.values, np.array([getattr(report, f) for f in fields]))
+out["diagonal-170"] = digest(marginals.space_time_diagonal(
+    states["dense-170"], np.linspace(-2.5, 2.5, 801)))
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main(["figure", "marg-qt", "--out", tmp]) == 0
+    for path in sorted(pathlib.Path(tmp).iterdir()):
+        out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_space_time_bits_do_not_depend_on_blas_threads():
+    """Every space-time output has the same sha256 with one OpenBLAS thread
+    and with two: dense M = 10, 40 and 170, the N = 26 state holding every
+    10th branch of 2J = 510, the diagonal on dense M = 170 and the marg-qt
+    files.  The variable is set for two child interpreters only."""
+    src = str(Path(marginals.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True,
+                                text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        digests.append(json.loads(result.stdout.splitlines()[-1]))
+    assert len(digests[0]) == 7  # five space-time digests, the CSV and its sidecar
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("rows, inner, cols, zero_rows", [
+    (801, 40, 8, False),       # within the bound: one call
+    (801, 239, 43, False),     # chunked inner axis, one column block
+    (801, 851, 300, True),     # column blocks, zero row blocks skipped
+    (801, 14, 256, False),     # one inner chunk, written in place
+    (801, 100, 300, False),    # one inner chunk, two column blocks
+    (4, 64, 1341, False),      # few rows, wide b
+    (801, 510, None, False),   # vector b, taller than a block
+    (37, 700, None, True),     # vector b, zero rows
+])
+def test_product_matches_matmul(rows, inner, cols, zero_rows):
+    """_product equals a @ b within 16 eps of |a| @ |b| per entry, at shapes
+    below and above _BLAS_BOUND, with 1-D and 2-D b, b transposed, and rows
+    of a zero over whole chunks; within the bound it is a @ b bitwise.  Two
+    BLAS routines differ by as much: numpy's syrk and gemm results for the
+    sums of 800 squares below differ by up to 11 eps."""
+    rng = np.random.default_rng(rows * inner)
+    a = rng.standard_normal((rows, inner))
+    if zero_rows:  # a band: each row nonzero over a third of the inner axis
+        centre = np.linspace(0, inner, rows)[:, None]
+        a[np.abs(np.arange(inner) - centre) > inner / 6] = 0.0
+    b = rng.standard_normal(inner if cols is None else (cols, inner))
+    b = b if cols is None else b.T
+    expected = a @ b
+    got = _product(a, b)
+    assert got.shape == expected.shape
+    bound = 16 * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+    assert np.all(np.abs(got - expected) <= bound)
+    if rows * inner * (cols or 1) <= _BLAS_BOUND:
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("levels", [2, 30])
+def test_product_of_stacks_matches_matmul(levels):
+    """A stack of Gram products, as ``_gram_rows`` forms them: with 2 levels
+    each slice is within _BLAS_BOUND and the result is a @ b bitwise; with
+    30 each slice is cut like a 2-D product."""
+    parts = np.random.default_rng(levels).standard_normal((3, levels, 800))
+    expected = parts @ parts.swapaxes(1, 2)
+    got = _product(parts, parts.swapaxes(1, 2))
+    bound = 16 * np.finfo(float).eps * (np.abs(parts) @ np.abs(parts).swapaxes(1, 2))
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= bound)
+    if levels * 800 * levels <= _BLAS_BOUND:
+        assert np.array_equal(got, expected)
+
+
+MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "tensordot", "inner"}
+
+
+def test_marginals_multiply_matrices_only_in_product():
+    """No ``@``, np.dot, np.matmul, np.einsum, np.tensordot or np.inner in
+    marginals.py outside _product, so every BLAS call of the module goes
+    through its bound."""
+    tree = ast.parse(Path(marginals.__file__).read_text(encoding="utf-8"))
+    found = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "_product":
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS:
+            found.append(ast.unparse(node))
+        stack.extend(ast.iter_child_nodes(node))
+    assert found == []
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):

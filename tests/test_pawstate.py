@@ -272,6 +272,8 @@ FAR_READINGS = {
                      math.pi / 2, -745.3),
     "pole-2J-20000": (lambda: assemble_state(20000, 34, Fraction(3, 2), {1: 2.0, 3: 1.0}),
                       math.pi / 2, -13836.6),
+    "pole-2J-60000": (lambda: assemble_state(60000, 34, Fraction(3, 2), {1: 2.0, 3: 1.0}),
+                      math.pi / 2, -41559.2),
 }
 
 
@@ -285,6 +287,17 @@ def test_conditional_moduli_match_mpmath_where_chi_squared_underflows(case):
     bound = 4.0 * np.finfo(float).eps * abs(log_chi2)
     assert np.abs(cond.vector) == pytest.approx(mp_conditional_moduli(state, theta),
                                                 abs=bound, rel=0)
+
+
+@pytest.mark.parametrize("case", FAR_READINGS)
+def test_conditional_norm_is_one_to_rounding_however_small_chi_squared(case):
+    """The moduli are shifted by the largest log modulus and divided by their
+    own norm, so the norm is 1 within 4 eps.  log chi^2 is up to 4e4 in size
+    here: moduli exp(log modulus - log chi) would miss 1 by ~|log chi^2| eps,
+    1.1e-12 at 2J = 60,000."""
+    make, theta, _ = FAR_READINGS[case]
+    cond = conditional_state(make(), theta, 0.7)
+    assert abs(cond.norm() - 1.0) <= 4.0 * np.finfo(float).eps
 
 
 def test_conditional_state_at_float_pi_is_the_highest_branch():
