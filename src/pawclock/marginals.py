@@ -441,16 +441,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     depth = min(inner, _INNER)
     width = min(cols, _BLAS_BOUND // (16 * depth))  # tiles at least 16 rows tall
     tall = _BLAS_BOUND // (depth * width)
-    out = np.empty((rows, cols))
-    if inner == depth:  # one chunk: the tiles are the result
-        whole = rows // tall * tall
-        blocks = a[:whole].reshape(-1, tall, inner)
-        for col in range(0, cols, width):
-            right, target = columns[:, col:col + width], out[:, col:col + width]
-            np.matmul(blocks, right, out=target[:whole].reshape(-1, tall, right.shape[1]))
-            np.matmul(a[whole:], right, out=target[whole:])
-        return out.reshape((rows,) + b.shape[1:])
-    out[:] = 0.0
+    out = np.zeros((rows, cols))
     starts = range(0, inner, depth)
     live = np.logical_or.reduceat(a != 0.0, starts, axis=1)
     tiles = np.empty(rows * width)
@@ -537,57 +528,30 @@ def _husimi_rows(state: PawState, q_values: np.ndarray,
     n = psi.shape[0]
     beats = 0 if pairs is None else pairs.beats.size
     # one row per psi_i^2, then B_d(x) = sum of coefficient * psi_i psi_j over
-    # the pairs of beat d, as real and imaginary parts
+    # the pairs of beat d, as real and imaginary parts.  The pairs are sorted
+    # by beat, so a chunk's beats are one run of rows and its weighted sum is
+    # one small product.
     integrands = np.zeros((n + 2 * beats, x.size))
     np.square(psi, out=integrands[:n])
     if beats:
-        _beat_sums(psi, pairs, integrands[n:].reshape(2, beats, x.size))
+        sums = integrands[n:].reshape(2, beats, x.size)
+        parts = np.stack([pairs.coefficient.real, pairs.coefficient.imag])
+        beat_of = np.repeat(np.arange(beats), np.diff(pairs.starts, append=pairs.first.size))
+        for start in range(0, pairs.first.size, _PAIR_CHUNK):
+            chunk = slice(start, start + _PAIR_CHUNK)
+            products = psi[pairs.first[chunk]]
+            products *= psi[pairs.second[chunk]]
+            local = beat_of[chunk] - beat_of[start]
+            weights = np.zeros((2, local[-1] + 1, local.size))
+            weights[:, local, np.arange(local.size)] = parts[:, chunk]
+            weighted = _product(weights.reshape(-1, local.size), products)
+            run = slice(beat_of[start], beat_of[start] + local[-1] + 1)
+            sums[:, run] += weighted.reshape(2, -1, x.size)
     # Entries below sqrt(tiny) would meet kernel entries near sqrt(tiny) in
     # subnormal products, which run at a fraction of the normal speed.
     integrands[np.abs(integrands) < _FLUSH] = 0.0
     rows = _product(kernel, integrands.T)
     return rows[:, :n], rows[:, n:n + beats] + 1j * rows[:, n + beats:]
-
-
-def _beat_sums(psi: np.ndarray, pairs: _BeatPairs, sums: np.ndarray) -> None:
-    """Add each beat's sum of coefficient * psi_i psi_j to ``sums`` (2 x beats x X).
-
-    The pairs are sorted by beat and taken in chunks of at most
-    ``_PAIR_CHUNK``: whole beats, at most ``span`` of them, or a piece of
-    one longer beat.  A chunk's beats are one run of rows, so its weighted
-    sum is one product, within ``_BLAS_BOUND`` up to 2048 x nodes.  A chunk
-    whose pairs run (i, j), (i + 1, j + 1), ..., as a beat of equally spaced
-    levels does, reads its rows of psi as two slices instead of two gathers.
-    """
-    count, nodes = pairs.first.size, psi.shape[1]
-    span = max(1, _BLAS_BOUND // (2 * _PAIR_CHUNK * nodes))
-    parts = np.stack([pairs.coefficient.real, pairs.coefficient.imag])
-    beat_of = np.repeat(np.arange(pairs.beats.size), np.diff(pairs.starts, append=count))
-    ends = np.append(pairs.starts, count)
-    run_of = np.cumsum(np.diff(pairs.first, prepend=-2) != 1)
-    run_of += np.cumsum(np.diff(pairs.second, prepend=-2) != 1)
-    start = 0
-    while start < count:
-        first_beat = beat_of[start]
-        stop = start + _PAIR_CHUNK
-        if ends[first_beat + 1] <= stop:
-            last = np.searchsorted(ends, stop, side="right") - 1
-            stop = ends[min(last, first_beat + span)]
-        if run_of[stop - 1] == run_of[start]:
-            i, j = pairs.first[start], pairs.second[start]
-            products = psi[i:i + stop - start] * psi[j:j + stop - start]
-        else:
-            products = psi[pairs.first[start:stop]]
-            products *= psi[pairs.second[start:stop]]
-        local = beat_of[start:stop] - first_beat
-        if local[-1] == 0:
-            weights = parts[:, start:stop]
-        else:
-            weights = np.zeros((2, local[-1] + 1, local.size))
-            weights[:, local, np.arange(local.size)] = parts[:, start:stop]
-        sums[:, first_beat:first_beat + local[-1] + 1] += _product(
-            weights.reshape(-1, local.size), products).reshape(2, -1, nodes)
-        start = stop
 
 
 def _gram_rows(state: PawState, q_values: np.ndarray, pairs: _BeatPairs):

@@ -589,7 +589,7 @@ def test_space_time_bits_do_not_depend_on_blas_threads():
     (801, 40, 8, False),       # within the bound: one call
     (801, 239, 43, False),     # chunked inner axis, one column block
     (801, 851, 300, True),     # column blocks, zero row blocks skipped
-    (801, 14, 256, False),     # one inner chunk, written in place
+    (801, 14, 256, False),     # one inner chunk
     (801, 100, 300, False),    # one inner chunk, two column blocks
     (4, 64, 1341, False),      # few rows, wide b
     (801, 510, None, False),   # vector b, taller than a block
