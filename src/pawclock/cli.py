@@ -69,6 +69,7 @@ from .pawstate import (
     dense_family_state,
     large_j_pair_state,
     paw_constraint_residual,
+    ratio_to_float,
     schrodinger_order_study,
     shift_fock_levels,
     spin3_pair_state,
@@ -165,6 +166,16 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
     if ratio <= 0:
         raise argparse.ArgumentTypeError(f"expected a ratio > 0, got {text!r}")
+    return ratio
+
+
+def parse_state_ratio(text: str) -> Fraction:
+    """parse_rational for a state's eps/omega, which must also be finite as a float."""
+    ratio = parse_rational(text)
+    try:
+        ratio_to_float(ratio)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return ratio
 
 
@@ -452,8 +463,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"max |kappa*r*(m+J) - (n+1/2)|*omega = {residual:.6g}"))
 
     family = state.family
-    n_max = math.ceil(float(state.ratios.kappa_r) * state.two_j) + 1
-    brute = brute_force_pairs(state.ratios.kappa_r, state.two_j, n_max)
+    kr = state.ratios.kappa_r
+    n_max = -(-kr.numerator * state.two_j // kr.denominator) + 1  # ceil(kr*2J) + 1
+    brute = brute_force_pairs(kr, state.two_j, n_max)
     enumerated = family.mn_pairs()
     mismatched = (sum(a != b for a, b in zip(brute, enumerated))
                   + abs(len(brute) - len(enumerated)))
@@ -622,9 +634,9 @@ def _add_state_flags(parser: argparse.ArgumentParser, coeff_help: str | None = N
     parser.add_argument("--m", dest="m", type=_COUNT, default=None,
                         help="oscillator mass M (integer)")
     parser.add_argument("--epsilon-over-omega", dest="epsilon_over_omega",
-                        type=parse_rational, default=None, metavar="N/D",
+                        type=parse_state_ratio, default=None, metavar="N/D",
                         help="clock level spacing over oscillator frequency")
-    parser.add_argument("--kappa-r", dest="kappa_r", type=parse_rational,
+    parser.add_argument("--kappa-r", dest="kappa_r", type=parse_state_ratio,
                         default=None, metavar="N/D",
                         help="synonym for --epsilon-over-omega (kappa*r = eps/omega)")
     parser.add_argument("--coeff", action="append", type=parse_coefficient,

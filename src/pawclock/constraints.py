@@ -195,15 +195,19 @@ def brute_force_pairs(kappa_r: Fraction | int | str, two_j: int,
     """Independent oracle: scan every ladder index and solve for n exactly.
 
     Returns all (m, n) with -J <= m <= J and 0 <= n <= n_max satisfying
-    n + 1/2 = kappa_r*(m+J) by exact rational test.  Shares no logic with
+    n + 1/2 = kappa_r*(m+J).  With kappa_r = p/q in lowest terms, index k = m+J
+    admits an integer n exactly when q divides 2*p*k with an odd quotient
+    2n + 1, an integer divisibility test.  Shares no logic with
     :func:`enumerate_pairs`.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     kr = Fraction(kappa_r)
+    p, q = kr.numerator, kr.denominator
+    top = 2 * n_max + 1
     found = []
     for m_plus_j in range(two_j + 1):
-        n = kr * m_plus_j - Fraction(1, 2)
-        if n.denominator == 1 and 0 <= n <= n_max:
-            found.append((Fraction(2 * m_plus_j - two_j, 2), int(n)))
+        odd, rest = divmod(2 * p * m_plus_j, q)
+        if rest == 0 and odd % 2 == 1 and 0 < odd <= top:
+            found.append((Fraction(2 * m_plus_j - two_j, 2), odd // 2))
     return found

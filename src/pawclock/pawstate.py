@@ -107,11 +107,11 @@ def build_state(clock: ClockSpec, oscillator: OscillatorSpec,
     Raises NotAdmissible if the family has fewer than two pairs or fewer than
     two branches are occupied, UnsupportedIndex for a coefficient outside the
     family, ZeroState when every coefficient vanishes, and ValueError for a
-    coefficient that is not finite.
+    coefficient or a ratio that is not finite as a float.
     """
     kr = Fraction(*kappa_r) if isinstance(kappa_r, tuple) else Fraction(kappa_r)
-    ratio_float = clock.epsilon / oscillator.omega
-    if abs(ratio_float - float(kr)) > 1e-9 * float(kr):
+    ratio_float, kr_float = clock.epsilon / oscillator.omega, ratio_to_float(kr)
+    if abs(ratio_float - kr_float) > 1e-9 * kr_float:
         raise ValueError(
             f"epsilon/omega = {ratio_float!r} does not match the exact ratio {kr}")
     try:
@@ -152,12 +152,20 @@ def build_state(clock: ClockSpec, oscillator: OscillatorSpec,
                     amplitudes=np.array([c / root for c in scaled]))
 
 
+def ratio_to_float(kr: Fraction) -> float:
+    """The exact ratio eps/omega as a float, or ValueError when it is too large for one."""
+    try:
+        return float(kr)
+    except OverflowError as exc:
+        raise ValueError("eps/omega is too large for a float (over 1.8e308)") from exc
+
+
 def assemble_state(two_j: int, mass: int, eps_over_omega, coefficients,
                    omega: float = 1.0) -> PawState:
     """Shorthand constructor taking sizes and the exact ratio eps/omega."""
     kr = (Fraction(*eps_over_omega) if isinstance(eps_over_omega, tuple)
           else Fraction(eps_over_omega))
-    clock = ClockSpec(two_j=two_j, epsilon=float(kr) * omega)
+    clock = ClockSpec(two_j=two_j, epsilon=ratio_to_float(kr) * omega)
     oscillator = OscillatorSpec(mass=mass, omega=omega)
     return build_state(clock, oscillator, kr, coefficients)
 
@@ -407,16 +415,16 @@ def schrodinger_order_study(state: PawState, theta: float, phi: float,
 def paw_constraint_residual(state: PawState) -> float:
     """Worst violation of eps*(m+J) = omega*(n+1/2) over the occupied branches.
 
-    The gap is evaluated in exact rational arithmetic (through kappa*r) and
-    only converted to float at the end, so any state produced by build_state
-    returns exactly 0.0 and a state whose Fock levels were shifted by one
-    returns exactly omega.
+    With kappa*r = p/q the gap is |2pk - q(2n+1)| / (2q).  The numerators are
+    compared as exact integers and only the worst is divided, correctly
+    rounded, at the end, so any state produced by build_state returns exactly
+    0.0 and a state whose Fock levels were shifted by one returns exactly
+    omega.
     """
-    worst = Fraction(0)
-    for k, n in zip(state.support, state.n_values):
-        gap = abs(state.ratios.kappa_r * k - (Fraction(n) + Fraction(1, 2)))
-        worst = max(worst, gap)
-    return float(worst) * state.oscillator.omega
+    p, q = state.ratios.kappa_r.numerator, state.ratios.kappa_r.denominator
+    worst = max((abs(2 * p * k - q * (2 * n + 1))
+                 for k, n in zip(state.support, state.n_values)), default=0)
+    return worst / (2 * q) * state.oscillator.omega
 
 
 def shift_fock_levels(state: PawState, delta: int) -> PawState:

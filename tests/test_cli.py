@@ -158,6 +158,26 @@ def test_inadmissible_state_exits_four(tmp_path):
     assert "not admissible" in result.stderr
 
 
+HUGE_RATIO = [2 * 10**400 + 1, 2]  # about 1e400: beyond the largest float
+
+
+@pytest.mark.parametrize("command", ["verify", "build", "chi2"])
+def test_ratio_beyond_float_exits_two(command, tmp_path):
+    """eps/omega sets the float clock spacing, so a ratio too large for a
+    float is refused with one error line, from the flags and from a config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"state": spin3_document(epsilon_over_omega=HUGE_RATIO)}))
+    for flags in (["--two-j", "6", "--m", "1", "--kappa-r", "{}/{}".format(*HUGE_RATIO)],
+                  ["--epsilon-over-omega", "{}/{}".format(*HUGE_RATIO), "--two-j", "6"],
+                  ["--config", str(path)]):
+        result = run_cli(command, *flags)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, result.stderr
+        assert errors[0].endswith("eps/omega is too large for a float (over 1.8e308)")
+
+
 # balanced M = 170 at a reading where chi^2 = e^-940.5 underflows a double
 FAR_READING = ["--two-j", "510", "--m", "170", "--kappa-r", "1/2",
                "--coeff", "171=1", "--coeff", "341=1", "--theta", "0.05"]

@@ -132,6 +132,16 @@ def test_build_state_rejects_mismatched_ratio():
         build_state(clock, oscillator, Fraction(3, 4), {2: 1.0, 6: 1.0})
 
 
+def test_ratio_beyond_float_is_a_value_error():
+    """float(kappa_r) would raise OverflowError; both constructors say why instead."""
+    huge = Fraction(2 * 10**400 + 1, 2)
+    with pytest.raises(ValueError, match="too large for a float"):
+        assemble_state(6, 1, huge, {1: 1.0, 3: 1.0})
+    with pytest.raises(ValueError, match="too large for a float"):
+        build_state(ClockSpec(two_j=6, epsilon=1.0), OscillatorSpec(mass=1, omega=1.0),
+                    huge, {1: 1.0, 3: 1.0})
+
+
 def test_build_state_rejects_non_finite_amplitudes():
     """No route builds a NaN state: flags, dicts and JSON documents alike."""
     for bad in (math.nan, math.inf, complex(1.0, -math.inf)):
