@@ -35,7 +35,6 @@ from .coherent import (
     scs_log_magnitude,
 )
 from .constraints import (
-    AllowedPair,
     ClockSpec,
     CouplingRatios,
     NoOddOverEvenForm,

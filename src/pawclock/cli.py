@@ -271,7 +271,7 @@ def _state_from_flags(args: argparse.Namespace) -> PawState:
             raise NotAdmissible(
                 f"no allowed pairs for kappa*r = {ratio} at 2J = {args.two_j}")
         amp = 1.0 / math.sqrt(len(family.pairs))
-        coefficients = {pair.m_plus_j: amp for pair in family.pairs}
+        coefficients = {k: amp for k, _ in family.pairs}
     return assemble_state(two_j=args.two_j, mass=mass, eps_over_omega=ratio,
                           coefficients=coefficients)
 
@@ -325,9 +325,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return 0
     print(f"kappa*r = {args.kappa_r} = (2*{ratio.i_n}+1)/(2*{ratio.i_m}), 2J = {args.two_j}")
     print(f"{'l':>4} {'m+J':>6} {'m':>8} {'n':>8}")
-    for pair in family:
-        m_value = str(family.m_fraction(pair))
-        print(f"{pair.l:>4} {pair.m_plus_j:>6} {m_value:>8} {pair.n:>8}")
+    for l, (k, n) in enumerate(family.pairs):
+        print(f"{l:>4} {k:>6} {str(family.m_fraction(k)):>8} {n:>8}")
     print(f"{len(family)} pair(s); entanglement admissible: "
           f"{'yes' if len(family) >= 2 else 'no'}")
     return 0
@@ -462,11 +461,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "constraint_residual_zero", residual, 0.0,
         f"max |kappa*r*(m+J) - (n+1/2)|*omega = {residual:.6g}"))
 
-    family = state.family
     kr = state.ratios.kappa_r
     n_max = -(-kr.numerator * state.two_j // kr.denominator) + 1  # ceil(kr*2J) + 1
     brute = brute_force_pairs(kr, state.two_j, n_max)
-    enumerated = family.mn_pairs()
+    enumerated = state.family.pairs
     mismatched = (sum(a != b for a, b in zip(brute, enumerated))
                   + abs(len(brute) - len(enumerated)))
     checks.append(_check(

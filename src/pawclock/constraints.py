@@ -23,7 +23,7 @@ from math import gcd
 
 
 class NoOddOverEvenForm(ValueError):
-    """kappa*r does not reduce to odd/even, so no (m, n) pair exists for any J."""
+    """kappa*r does not reduce to odd/even, so no (m+J, n) pair exists for any J."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +116,13 @@ class ReducedRatio:
 
 
 @dataclass(frozen=True)
-class AllowedPair:
-    """One solution of the constraint, stored with the ladder index m+J.
-
-    m + J = i_m*(2l + 1) and n = i_n*(2l + 1) + l, so each pair is labelled
-    by the single integer l.
-    """
-
-    m_plus_j: int
-    n: int
-    l: int
-
-
-@dataclass(frozen=True)
 class PairFamily:
-    """All allowed (m, n) pairs for a reduced ratio at a given 2J, ascending in l."""
+    """All allowed pairs for a reduced ratio at a given 2J, as integer tuples
+    (m+J, n) ascending in the label l, which is a pair's index."""
 
     ratio: ReducedRatio
     two_j: int
-    pairs: tuple[AllowedPair, ...]
+    pairs: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -142,13 +130,9 @@ class PairFamily:
     def __iter__(self):
         return iter(self.pairs)
 
-    def m_fraction(self, pair: AllowedPair) -> Fraction:
-        """The half-integer m of a pair, as an exact Fraction."""
-        return Fraction(2 * pair.m_plus_j - self.two_j, 2)
-
-    def mn_pairs(self) -> list[tuple[Fraction, int]]:
-        """The family as explicit (m, n) values."""
-        return [(self.m_fraction(p), p.n) for p in self.pairs]
+    def m_fraction(self, m_plus_j: int) -> Fraction:
+        """The half-integer m of ladder index m+J, as an exact Fraction."""
+        return Fraction(2 * m_plus_j - self.two_j, 2)
 
 
 def reduce_ratio(kappa_r: Fraction | int | str | tuple) -> ReducedRatio:
@@ -171,7 +155,7 @@ def reduce_ratio(kappa_r: Fraction | int | str | tuple) -> ReducedRatio:
 
 
 def enumerate_pairs(ratio: ReducedRatio, two_j: int) -> PairFamily:
-    """Enumerate every allowed (m, n) pair at spin 2J for a reduced ratio.
+    """Enumerate every allowed (m+J, n) pair at spin 2J for a reduced ratio.
 
     The closed form is m + J = i_m*(2l+1), n = i_n*(2l+1) + l with
     l = 0 .. floor(J/i_m - 1/2).  An empty family is a legitimate result
@@ -181,20 +165,16 @@ def enumerate_pairs(ratio: ReducedRatio, two_j: int) -> PairFamily:
         raise ValueError("two_j must be a positive integer")
     # floor(J/i_m - 1/2) in integer arithmetic; negative when two_j < i_m
     l_max = (two_j - ratio.i_m) // (2 * ratio.i_m)
-    pairs = tuple(
-        AllowedPair(m_plus_j=ratio.i_m * (2 * l + 1),
-                    n=ratio.i_n * (2 * l + 1) + l,
-                    l=l)
-        for l in range(l_max + 1)
-    )
+    pairs = tuple((ratio.i_m * (2 * l + 1), ratio.i_n * (2 * l + 1) + l)
+                  for l in range(l_max + 1))
     return PairFamily(ratio=ratio, two_j=two_j, pairs=pairs)
 
 
 def brute_force_pairs(kappa_r: Fraction | int | str, two_j: int,
-                      n_max: int) -> list[tuple[Fraction, int]]:
+                      n_max: int) -> list[tuple[int, int]]:
     """Independent oracle: scan every ladder index and solve for n exactly.
 
-    Returns all (m, n) with -J <= m <= J and 0 <= n <= n_max satisfying
+    Returns all (m+J, n) with 0 <= m+J <= 2J and 0 <= n <= n_max satisfying
     n + 1/2 = kappa_r*(m+J).  With kappa_r = p/q in lowest terms, index k = m+J
     admits an integer n exactly when q divides 2*p*k with an odd quotient
     2n + 1, an integer divisibility test.  Shares no logic with
@@ -209,5 +189,5 @@ def brute_force_pairs(kappa_r: Fraction | int | str, two_j: int,
     for m_plus_j in range(two_j + 1):
         odd, rest = divmod(2 * p * m_plus_j, q)
         if rest == 0 and odd % 2 == 1 and 0 < odd <= top:
-            found.append((Fraction(2 * m_plus_j - two_j, 2), odd // 2))
+            found.append((m_plus_j, odd // 2))
     return found

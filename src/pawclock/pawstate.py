@@ -123,7 +123,7 @@ def build_state(clock: ClockSpec, oscillator: OscillatorSpec,
             f"kappa*r = {kr} admits {len(family.pairs)} pair(s) at 2J = "
             f"{clock.two_j}; an entangled state needs at least two")
 
-    levels = {pair.m_plus_j: pair.n for pair in family.pairs}
+    levels = dict(family.pairs)
     occupied: list[tuple[int, complex]] = []
     for key in sorted(coefficients):
         if key not in levels:
@@ -206,7 +206,7 @@ def dense_family_state(mass: int, omega: float = 1.0) -> PawState:
         raise ValueError("mass must be a positive integer")
     family = enumerate_pairs(reduce_ratio(Fraction(1, 2)), 3 * mass)
     amp = 1.0 / math.sqrt(len(family.pairs))
-    coefficients = {pair.m_plus_j: amp for pair in family.pairs}
+    coefficients = {k: amp for k, _ in family.pairs}
     return assemble_state(two_j=3 * mass, mass=mass, eps_over_omega=Fraction(1, 2),
                           coefficients=coefficients, omega=omega)
 
@@ -360,8 +360,17 @@ def _residuals(state: PawState, theta: float, phi: float,
         derivative = (_phased(state, moduli, phi + dphi)
                       - _phased(state, moduli, phi - dphi)) / (2.0 * dphi)
         residual = 1j * state.clock.epsilon * derivative - h_diag * center
-        residuals.append(float(np.linalg.norm(residual)))
+        residuals.append(_norm(residual))
     return tuple(residuals)
+
+
+def _norm(vector: np.ndarray) -> float:
+    """The 2-norm of a vector, taken on a copy scaled by the power of two of its
+    largest |entry|: exact, so a norm whose squares stay normal keeps its bits,
+    and entries near 1e308, as at such Fock levels, do not overflow squared."""
+    _, exponent = math.frexp(float(np.max(np.abs(vector))))
+    scaled = np.ldexp(vector.view(np.float64), -exponent).view(vector.dtype)
+    return float(np.ldexp(np.linalg.norm(scaled), exponent))
 
 
 def schrodinger_residual(state: PawState, theta: float, phi: float,
@@ -433,12 +442,10 @@ def shift_fock_levels(state: PawState, delta: int) -> PawState:
     The result deliberately violates the stationarity constraint (unless
     delta = 0); it exists so integrity checks have a guaranteed-bad input.
     """
-    pairs = tuple(replace(p, n=p.n + delta) for p in state.family.pairs)
-    if any(p.n < 0 for p in pairs):
+    pairs = tuple((k, n + delta) for k, n in state.family.pairs)
+    if any(n < 0 for _, n in pairs):
         raise ValueError("shift would produce a negative Fock level")
-    forged_family = PairFamily(ratio=state.family.ratio, two_j=state.family.two_j,
-                               pairs=pairs)
-    return replace(state, family=forged_family,
+    return replace(state, family=replace(state.family, pairs=pairs),
                    n_values=tuple(n + delta for n in state.n_values))
 
 

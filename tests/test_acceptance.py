@@ -75,7 +75,7 @@ def test_acceptance_01_enumeration_golden():
     produced = {}
     for two_j in golden:
         family = enumerate_pairs(ratio, two_j)
-        produced[two_j] = [(family.m_fraction(pair), pair.n) for pair in family]
+        produced[two_j] = [(family.m_fraction(k), n) for k, n in family]
     elapsed = time.perf_counter() - start
     ok = produced == golden and elapsed < 1e-3
     _report("1 enumeration golden", ok,
@@ -101,7 +101,7 @@ def test_acceptance_02_enumeration_equals_brute_force():
             for two_j in range(1, 41):
                 n_max = math.ceil(kappa_r * two_j) + 1
                 brute = brute_force_pairs(kappa_r, two_j, n_max)
-                closed = (enumerate_pairs(ratio, two_j).mn_pairs()
+                closed = (list(enumerate_pairs(ratio, two_j).pairs)
                           if ratio is not None else [])
                 cases += 1
                 if brute != closed:

@@ -126,15 +126,15 @@ def beta_readings(draw):
     i_n = draw(st.integers(0, 4).filter(lambda i: math.gcd(2 * i + 1, 2 * i_m) == 1))
     ratio = Fraction(2 * i_n + 1, 2 * i_m)
     two_j = draw(st.integers(3 * i_m, 40))
-    pairs = [pair for pair in enumerate_pairs(reduce_ratio(ratio), two_j).pairs
-             if pair.n <= 60]
+    pairs = [(k, n) for k, n in enumerate_pairs(reduce_ratio(ratio), two_j).pairs
+             if n <= 60]
     assume(len(pairs) >= 2)
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=6, unique=True))
     coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
                                      allow_infinity=False).filter(lambda c: abs(c) > 0.1)
     state = assemble_state(two_j=two_j, mass=draw(st.integers(1, 8)),
                            eps_over_omega=ratio,
-                           coefficients={pair.m_plus_j: draw(coefficient) for pair in chosen})
+                           coefficients={k: draw(coefficient) for k, _ in chosen})
     point = SphereCoordinate(draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 20.0)))
     alpha = cmath.rect(draw(st.floats(0.0, 4.0)), draw(st.floats(-math.pi, math.pi)))
     return state, point, alpha

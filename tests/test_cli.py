@@ -510,6 +510,37 @@ def test_verify_memory_does_not_grow_with_spin():
     assert peak <= 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
+def test_verify_holds_the_pair_family_once():
+    """On the pole state at 2J = 60,000 (30,000 pairs) verify allocates at most
+    10 MiB: the family as (m+J, n) tuples and the scan, with no Fraction per pair."""
+    tracemalloc.start()
+    try:
+        code, report = verify_in_process(["verify", *EDGE_STATES["pole-2J-60000"]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and report["all_passed"], report["checks"]
+    assert peak <= 10 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+# kappa_r = (2*10^307 + 1)/2 at 2J = 6: Fock levels 10^307, 3*10^307 + 1, 5*10^307 + 2
+HUGE_FOCK = ["--two-j", "6", "--m", "1", "--kappa-r", f"{2 * 10 ** 307 + 1}/2"]
+
+
+def test_verify_passes_at_huge_fock_levels():
+    """The finite-difference residuals of phases near 1e307 are finite, so the
+    order study reads 2 and numpy warns of no overflow."""
+    result = run_cli("verify", *HUGE_FOCK)
+    assert result.returncode == 0, result.stderr or result.stdout
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["all_passed"] is True
+    result = run_cli("schrodinger", *HUGE_FOCK, check=True)
+    assert result.stderr == ""
+    payload = json.loads(result.stdout)
+    assert all(math.isfinite(r) and r > 0 for r in payload["residuals"])
+    assert abs(payload["order"] - 2.0) <= 0.1
+
+
 def test_verify_at_degenerate_theta_still_reports():
     """At theta = 0 chi^2 vanishes: both clock-angle checks fail, the rest run."""
     result = run_cli("verify", *SPIN3, "--theta", "0")

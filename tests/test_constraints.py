@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pawclock.constraints import (
-    AllowedPair,
     ClockSpec,
     CouplingRatios,
     NoOddOverEvenForm,
@@ -65,14 +64,15 @@ def test_golden_family_three_quarters():
     }
     for two_j, pairs in expected.items():
         family = enumerate_pairs(reduce_ratio(Fraction(3, 4)), two_j)
-        assert family.mn_pairs() == pairs, f"2J = {two_j}"
+        found = [(family.m_fraction(k), n) for k, n in family.pairs]
+        assert found == pairs, f"2J = {two_j}"
 
 
 def _assert_enumeration_matches(kappa_r, two_j):
     n_max = math.ceil(kappa_r * two_j) + 1
     expected = brute_force_pairs(kappa_r, two_j, n_max)
     try:
-        found = enumerate_pairs(reduce_ratio(kappa_r), two_j).mn_pairs()
+        found = list(enumerate_pairs(reduce_ratio(kappa_r), two_j).pairs)
     except NoOddOverEvenForm:
         found = []
     assert found == expected, f"kappa*r = {kappa_r}, 2J = {two_j}"
@@ -116,20 +116,20 @@ def test_admissibility_threshold():
 
 def test_pair_labels_and_m_fraction():
     family = enumerate_pairs(reduce_ratio(Fraction(3, 4)), 6)
-    first, second = family.pairs
-    assert first == AllowedPair(m_plus_j=2, n=1, l=0)
-    assert second == AllowedPair(m_plus_j=6, n=4, l=1)
-    assert family.m_fraction(first) == Fraction(-1)
-    assert family.m_fraction(second) == Fraction(3)
+    first, second = family.pairs  # labels l = 0 and l = 1
+    assert first == (2, 1)
+    assert second == (6, 4)
+    assert family.m_fraction(first[0]) == Fraction(-1)
+    assert family.m_fraction(second[0]) == Fraction(3)
 
 
 def test_every_enumerated_pair_satisfies_the_constraint():
     for kappa_r in (Fraction(3, 4), Fraction(1, 2), Fraction(5, 6), Fraction(7, 2)):
         for two_j in (3, 6, 17, 40):
             family = enumerate_pairs(reduce_ratio(kappa_r), two_j)
-            for pair in family:
-                assert kappa_r * pair.m_plus_j == Fraction(2 * pair.n + 1, 2)
-                assert 0 <= pair.m_plus_j <= two_j
+            for k, n in family:
+                assert kappa_r * k == Fraction(2 * n + 1, 2)
+                assert 0 <= k <= two_j
 
 
 def test_clock_spec_levels():

@@ -3,9 +3,11 @@
 ``brute_force_pairs`` and ``paw_constraint_residual`` decide
 n + 1/2 = kappa_r*(m+J) on integer numerators.  They must return exactly what
 the rational forms in tests/reference_constraints.py return, and build no
-Fraction per ladder index or per branch.
+Fraction per ladder index, per pair or per branch.
 """
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_constraints as reference
+from pawclock import cli
 from pawclock.constraints import brute_force_pairs, enumerate_pairs, reduce_ratio
 from pawclock.pawstate import (
     assemble_state,
@@ -35,6 +38,12 @@ RATIOS = st.one_of(
     st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
 
 
+def reference_pairs(kappa_r, two_j: int, n_max: int) -> list:
+    """The Fraction scan's (m, n) pairs, written as (m+J, n)."""
+    return [(m + Fraction(two_j, 2), n)
+            for m, n in reference.brute_force_pairs(kappa_r, two_j, n_max)]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kappa_r=RATIOS, two_j=st.integers(1, 300),
        n_max=st.one_of(st.just(0), st.integers(0, 10 * BIG)))
@@ -48,12 +57,12 @@ def test_pair_scan_equals_fraction_scan(kappa_r, two_j, n_max):
         bounds |= {levels[0], levels[-1]} | {n - 1 for n in (levels[0], levels[-1]) if n}
     for bound in sorted(bounds):
         assert brute_force_pairs(kappa_r, two_j, bound) == \
-            reference.brute_force_pairs(kappa_r, two_j, bound), bound
+            reference_pairs(kappa_r, two_j, bound), bound
 
 
 def test_pair_scan_keeps_a_level_equal_to_n_max():
     """kappa_r = 1/2 at 2J = 6 pairs m+J = 1, 3, 5 with n = 0, 1, 2."""
-    pairs = [(Fraction(-2), 0), (Fraction(0), 1), (Fraction(2), 2)]
+    pairs = [(1, 0), (3, 1), (5, 2)]
     for n_max in range(4):
         assert brute_force_pairs(Fraction(1, 2), 6, n_max) == pairs[:n_max + 1]
     with pytest.raises(ValueError):
@@ -94,7 +103,7 @@ def large_ratio_states(draw):
                           unique=True))
     return assemble_state(two_j=two_j, mass=draw(st.integers(1, BIG)),
                           eps_over_omega=ratio,
-                          coefficients={pair.m_plus_j: 1.0 for pair in pairs},
+                          coefficients={k: 1.0 for k, _ in pairs},
                           omega=draw(st.sampled_from([1.0, 0.37, 2.5])))
 
 
@@ -119,14 +128,28 @@ def fraction_count(monkeypatch):
 
 
 @pytest.mark.parametrize("kappa_r", [Fraction(1, 2), Fraction(3, 4), "3/4"])
-def test_pair_scan_makes_one_fraction_per_pair(kappa_r, fraction_count):
-    """At 2J = 1140 the scan builds the m of each pair found and the ratio,
-    not a Fraction per ladder index as the rational form does."""
+def test_pair_scan_makes_no_fraction_per_pair(kappa_r, fraction_count):
+    """At 2J = 1140 the scan builds the ratio alone, not a Fraction per
+    ladder index as the rational form does, nor one per pair found."""
     found = brute_force_pairs(kappa_r, 1140, 1140)
-    assert found and fraction_count[0] <= len(found) + 2
+    assert found and fraction_count[0] <= 2
     fraction_count[0] = 0
-    assert reference.brute_force_pairs(kappa_r, 1140, 1140) == found
+    assert reference_pairs(kappa_r, 1140, 1140) == found
     assert fraction_count[0] > 1140
+
+
+def test_verify_makes_no_fraction_per_pair(fraction_count):
+    """verify builds as many Fractions for a state of kappa_r = 1/2 at
+    2J = 1140 (570 pairs) as for the same branches at 2J = 60 (30 pairs)."""
+    counts = []
+    for two_j in (60, 1140):
+        fraction_count[0] = 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["verify", "--two-j", str(two_j), "--m", "1",
+                             "--kappa-r", "1/2", "--coeff", "1=1", "--coeff", "3=1"])
+        assert code == 0
+        counts.append(fraction_count[0])
+    assert counts[1] == counts[0], counts
 
 
 def test_residual_makes_no_fraction_per_branch(fraction_count):

@@ -552,7 +552,7 @@ states = {f"dense-{m}": dense_family_state(m) for m in (10, 40, 170)}
 family = enumerate_pairs(reduce_ratio(Fraction(1, 2)), 510).pairs
 states["sparse-26"] = assemble_state(
     two_j=510, mass=170, eps_over_omega=Fraction(1, 2),
-    coefficients={pair.m_plus_j: 1.0 for pair in family[::10]})
+    coefficients={k: 1.0 for k, _ in family[::10]})
 out = {}
 for name, state in states.items():
     grid, report = marginals.marginal_space_time(state)

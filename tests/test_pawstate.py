@@ -176,9 +176,8 @@ def test_hamiltonian_action_kernel():
     """On every allowed pair the clock and oscillator eigenvalues coincide:
     the pair basis spans the kernel of H_clock - H_osc."""
     state = spin3_pair_state()
-    for pair in state.family.pairs:
-        assert (state.clock.epsilon * pair.m_plus_j
-                == state.oscillator.level_energy(pair.n))
+    for k, n in state.family.pairs:
+        assert state.clock.epsilon * k == state.oscillator.level_energy(n)
     assert state.clock.epsilon * 2 == state.oscillator.level_energy(1) == 1.5
 
 
@@ -441,6 +440,35 @@ def test_schrodinger_residual_huge_spin():
     assert study.order == pytest.approx(2.0, abs=0.05)
 
 
+def test_schrodinger_residual_at_huge_fock_levels():
+    """At Fock levels 1e307 and 3e307 the residual vectors hold entries near
+    1e307, whose squares overflow a double; the study stays finite and second
+    order."""
+    state = assemble_state(6, 1, Fraction(2 * 10 ** 307 + 1, 2), {1: 1.0, 3: 1.0})
+    assert state.n_values == (10 ** 307, 3 * 10 ** 307 + 1)
+    with np.errstate(all="raise"):
+        study = schrodinger_order_study(state, math.pi / 2.0, 0.7)
+    assert all(math.isfinite(r) and r > 0 for r in study.residuals)
+    assert study.order == pytest.approx(2.0, abs=0.01)
+
+
+# zero, or a modulus whose square is a normal double
+ENTRIES = st.one_of(st.just(0j), st.builds(cmath.rect, st.floats(1e-150, 1e150),
+                                           st.floats(-math.pi, math.pi)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(ENTRIES, min_size=1, max_size=8),
+       shift=st.integers(-500, 500))
+def test_residual_norm_keeps_the_bits_of_numpy(values, shift):
+    """Where the squares stay normal the scaled norm is numpy's, bit for bit,
+    and scaling the vector by 2^shift scales the norm by exactly 2^shift."""
+    vector = np.array(values, dtype=complex)
+    assert pawstate._norm(vector) == float(np.linalg.norm(vector))
+    shifted = np.ldexp(vector.view(np.float64), shift).view(complex)
+    assert pawstate._norm(shifted) == math.ldexp(pawstate._norm(vector), shift)
+
+
 # ---------------------------------------------------------------------------
 # constraint diagnostics and forgery
 # ---------------------------------------------------------------------------
@@ -483,7 +511,7 @@ def admissible_states(draw):
                           unique=True))
     coefficient = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
                                      allow_infinity=False).filter(lambda c: abs(c) > 1e-3)
-    coefficients = {pair.m_plus_j: draw(coefficient) for pair in pairs}
+    coefficients = {k: draw(coefficient) for k, _ in pairs}
     return assemble_state(two_j=two_j, mass=draw(st.integers(1, 500)),
                           eps_over_omega=ratio, coefficients=coefficients)
 
