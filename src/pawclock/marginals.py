@@ -31,8 +31,10 @@ d = k_i - k_j into B_d(x), and one Gaussian kernel K(Q, x) give the branch
 and beat rows as one matrix product; the (Q, t) grid is then the real part
 of a (Q x beats) by (beats x t) product.  For Fock pairs far apart the
 smoothing cancels: its relative error grows with the condition number kappa
-of ``_interference_condition``, and states above ``_KAPPA_MAX`` keep the
-momentum quadrature, one Gram product per Q row.
+of ``_interference_condition``.  States above ``_KAPPA_MAX`` take C_ij from
+the finite beam-splitter sum behind the Husimi function instead, Hermite
+functions at the one point y = sqrt(M/2) Q with binomial weights, which is
+exact and needs no x grid.
 
 Every matrix product here goes through ``_product``, whose BLAS calls are
 small enough that OpenBLAS runs each on the calling thread: the bits of the
@@ -46,10 +48,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .coherent import (_libm_log, _log_fock_density, ln_binomial, ln_factorial,
                        logsumexp, xlogy)
@@ -67,10 +68,6 @@ class ConfigError(ValueError):
     """A run setting (scenario config or flag) is malformed."""
 
 
-# Q rows per block of the Gram kernel; blocks start at multiples of it.
-_ROW_BLOCK = 8
-# Gauss-Legendre momentum nodes of the Gram kernel.
-_P_ORDER = 400
 # Branch pairs per step of the Husimi kernel's beat sums.
 _PAIR_CHUNK = 64
 # Largest interference condition number the Husimi kernel is trusted with.
@@ -347,35 +344,19 @@ def interference_suppression(two_j: int, m1_plus_j: int, m2_plus_j: int,
     )
 
 
-@cache
-def _p_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The ``_P_ORDER`` Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    return leggauss(_P_ORDER)
-
-
-def _momentum_quadrature(state: PawState) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights covering the occupied momentum support."""
-    n_max = max(state.n_values)
-    reach = (math.sqrt(2.0 * n_max / state.mass)
-             * (1.0 + math.sqrt(40.0 / max(n_max, 1)))
-             + math.sqrt(80.0 / state.mass))
-    nodes, weights = _p_rule()
-    return reach * nodes, reach * weights
-
-
 @dataclass(frozen=True)
 class _BeatPairs:
     """Branch pairs i < j whose interference survives the amplitude cut.
 
-    Sorted by beat d = k_i - k_j; pairs sharing ``beats[b]`` start at
-    ``starts[b]``.  ``coefficient`` is 2|c_i||c_j| A_ij e^{-i(gamma_i - gamma_j)},
+    Sorted by beat d = k_i - k_j; pair p has beat ``beats[beat_of[p]]``.
+    ``coefficient`` is 2|c_i||c_j| A_ij e^{-i(gamma_i - gamma_j)},
     A_ij the energy overlap ``_log_clock_overlap`` of the pair.
     """
 
     first: np.ndarray
     second: np.ndarray
     coefficient: np.ndarray
-    starts: np.ndarray
+    beat_of: np.ndarray
     beats: np.ndarray
 
 
@@ -394,9 +375,9 @@ def _beat_pairs(state: PawState) -> _BeatPairs:
     beat = k[first[keep]] - k[second[keep]]
     order = np.argsort(beat, kind="stable")
     first, second = first[keep][order], second[keep][order]
-    beats, starts = np.unique(beat[order], return_index=True)
+    beats, beat_of = np.unique(beat[order], return_inverse=True)
     coefficient = np.exp(log_amp[keep][order] - 1j * (gammas[first] - gammas[second]))
-    return _BeatPairs(first, second, coefficient, starts, beats)
+    return _BeatPairs(first, second, coefficient, beat_of, beats)
 
 
 def _interference_condition(state: PawState, pairs: _BeatPairs) -> float:
@@ -418,25 +399,22 @@ def _interference_condition(state: PawState, pairs: _BeatPairs) -> float:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for real 2-D a and real 1-D or 2-D b, or stacks of both, in BLAS
-    calls of at most ``_BLAS_BOUND`` multiply-adds.
+    """a @ b for real 2-D a and real 1-D or 2-D b, in BLAS calls of at most
+    ``_BLAS_BOUND`` multiply-adds.
 
     OpenBLAS runs a call that small on the calling thread at every thread
     count, so the bits do not depend on that count and no worker wakes to
-    spin after the call.  A product within the bound is ``a @ b``, one call
-    per slice of a stack.  A larger one cuts the inner axis into ``_INNER``
-    chunks, summed in order, and each chunk into tiles of rows and columns
-    fixed by the shapes, one stacked matmul per chunk and column block.  Rows
-    of ``a`` that are zero across a chunk add exactly zero, so a chunk skips
-    the row blocks before its first and after its last nonzero row without
-    changing a bit.
+    spin after the call.  A product within the bound is ``a @ b``.  A larger
+    one cuts the inner axis into ``_INNER`` chunks, summed in order, and each
+    chunk into tiles of rows and columns fixed by the shapes, one stacked
+    matmul per chunk and column block.  Rows of ``a`` that are zero across a
+    chunk add exactly zero, so a chunk skips the row blocks before its first
+    and after its last nonzero row without changing a bit.
     """
-    rows, inner = a.shape[-2:]
-    cols = 1 if b.ndim == 1 else b.shape[-1]
+    rows, inner = a.shape
+    cols = 1 if b.ndim == 1 else b.shape[1]
     if rows * inner * cols <= _BLAS_BOUND:
         return a @ b
-    if a.ndim == 3:
-        return np.stack([_product(part, right) for part, right in zip(a, b)])
     columns = np.ascontiguousarray(b.reshape(inner, cols))  # tiles of b.T run at half speed
     depth = min(inner, _INNER)
     width = min(cols, _BLAS_BOUND // (16 * depth))  # tiles at least 16 rows tall
@@ -467,10 +445,14 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_kernel(state: PawState, pairs: _BeatPairs):
-    """The Husimi kernel for states with kappa <= _KAPPA_MAX, else the Gram one."""
+    """The Husimi kernel for states with kappa <= _KAPPA_MAX, else the closed form.
+
+    The closed form is exact at every kappa, but on dense states its weight
+    tables cost more than the Husimi kernel's one product.
+    """
     if _interference_condition(state, pairs) <= _KAPPA_MAX:
         return _husimi_rows
-    return _gram_rows
+    return _closed_form_rows
 
 
 def _hermite_table(n_values, x: np.ndarray) -> np.ndarray:
@@ -536,16 +518,15 @@ def _husimi_rows(state: PawState, q_values: np.ndarray,
     if beats:
         sums = integrands[n:].reshape(2, beats, x.size)
         parts = np.stack([pairs.coefficient.real, pairs.coefficient.imag])
-        beat_of = np.repeat(np.arange(beats), np.diff(pairs.starts, append=pairs.first.size))
         for start in range(0, pairs.first.size, _PAIR_CHUNK):
             chunk = slice(start, start + _PAIR_CHUNK)
             products = psi[pairs.first[chunk]]
             products *= psi[pairs.second[chunk]]
-            local = beat_of[chunk] - beat_of[start]
+            local = pairs.beat_of[chunk] - pairs.beat_of[start]
             weights = np.zeros((2, local[-1] + 1, local.size))
             weights[:, local, np.arange(local.size)] = parts[:, chunk]
             weighted = _product(weights.reshape(-1, local.size), products)
-            run = slice(beat_of[start], beat_of[start] + local[-1] + 1)
+            run = slice(pairs.beat_of[start], pairs.beat_of[start] + local[-1] + 1)
             sums[:, run] += weighted.reshape(2, -1, x.size)
     # Entries below sqrt(tiny) would meet kernel entries near sqrt(tiny) in
     # subnormal products, which run at a fraction of the normal speed.
@@ -554,55 +535,54 @@ def _husimi_rows(state: PawState, q_values: np.ndarray,
     return rows[:, :n], rows[:, n:n + beats] + 1j * rows[:, n + beats:]
 
 
-def _gram_rows(state: PawState, q_values: np.ndarray, pairs: _BeatPairs):
-    """Momentum-integrated branch products per Q row, in fixed blocks of rows.
+def _closed_form_rows(state: PawState, q_values: np.ndarray, pairs: _BeatPairs):
+    """Momentum-integrated branch products per Q row by a finite sum.
 
-    With g_n(P) = sqrt(f_n(u)) e^{-i n arctan2(P, Q)}, the weighted Gram matrix
-    C = (conj(g) w) @ g^T of a row holds every branch product integrated over
-    P by ``_P_ORDER`` Gauss-Legendre nodes.  The momentum nodes are symmetric
-    and g_n(-P) = conj(g_n(P)), so C is real: the Gram matrix of the real and
-    imaginary parts of g sqrt(w).  Returns ``branch`` and ``beat`` as
-    ``_husimi_rows`` does.  The integrand |<z|n_i><n_j|z>| has plane L1 norm
-    O_ij, not of order 1 as psi_i psi_j has, so far Fock pairs cancel no
-    large terms; the cost is O(Q N^2 P).
+    A 50:50 beam splitter with the vacuum sends |n> to
+    sum_l 2^{-n/2} sqrt(C(n, l)) |n-l>|l>, and the Husimi function is the
+    position density of its first port (Husimi 1940), so with
+    y = sqrt(M/2) Q
+    C_ij(Q) = pi sqrt(2/M) 2^{-(n_i+n_j)/2}
+              sum_{l=0}^{min(n_i, n_j)} sqrt(C(n_i, l) C(n_j, l)) psi_{n_i-l}(y) psi_{n_j-l}(y).
+    With d = |n_i - n_j| and a = min(n_i, n_j) - l each term is a weight
+    times psi_a psi_{a+d}, so the branches (d = 0) and the kept pairs of one
+    gap d share one table of products, and the rows of a gap are one product
+    of that table with the weights summed per column.  The weights are taken
+    in log space; no term cancels a larger one on the diagonal, and far
+    pairs are accurate relative to C_ij itself.  Returns ``branch`` and
+    ``beat`` as ``_husimi_rows`` does.
     """
-    p_nodes, p_weights = _momentum_quadrature(state)
-    n = np.array(state.n_values, dtype=float)
-    half_log_norm = -0.5 * ln_factorial(n)
-    ground = n == 0.0
-    half_log_w = 0.5 * np.log(p_weights)
-    steps, step_of = np.unique(np.diff(n), return_inverse=True)
-    kept = pairs.first * n.size + pairs.second
-    branches, beats = [], []
-    for start in range(0, q_values.size, _ROW_BLOCK):
-        q = q_values[start:start + _ROW_BLOCK, None]
-        u = 0.5 * state.mass * (q ** 2 + p_nodes ** 2)
-        # |g_n| sqrt(w), assembled in log space where u^n and n! cannot overflow
-        with np.errstate(divide="ignore", invalid="ignore"):
-            magnitude = n[:, None] * (0.5 * np.log(u))[:, None, :]
-        magnitude[:, ground] = 0.0  # 0 * log(0) = 0 where u = 0
-        magnitude += half_log_w - 0.5 * u[:, None, :]
-        magnitude += half_log_norm[:, None]
-        np.exp(magnitude, out=magnitude)
-        # Flushing terms below sqrt(tiny) keeps the Gram products out of
-        # slow subnormal arithmetic; each changes an entry of C by < 1e-153.
-        magnitude[magnitude < _FLUSH] = 0.0
-        # e^{-i n theta} by a recurrence along the branches: one complex
-        # exponential per distinct level step instead of one per level
-        theta = np.arctan2(p_nodes, q)
-        factors = np.exp(-1j * steps[:, None, None] * theta)
-        g = np.empty(magnitude.shape, dtype=complex)
-        g[:, 0] = np.exp(-1j * n[0] * theta)
-        for level in range(1, n.size):
-            np.multiply(g[:, level - 1], factors[step_of[level - 1]], out=g[:, level])
-        g *= magnitude
-        parts = g.view(np.float64)  # (Re, Im) pairs along P
-        gram = _product(parts, parts.swapaxes(1, 2))
-        # a copy, not a view that would keep gram alive
-        branches.append(np.diagonal(gram, axis1=1, axis2=2).copy())
-        products = np.take(gram.reshape(q.shape[0], -1), kept, axis=1) * pairs.coefficient
-        beats.append(np.add.reduceat(products, pairs.starts, axis=1))
-    return np.concatenate(branches), np.concatenate(beats)
+    n = np.array(state.n_values)
+    beats = pairs.beats.size
+    low = np.minimum(n[pairs.first], n[pairs.second])
+    gap = np.abs(n[pairs.first] - n[pairs.second])
+    # one entry per branch, then the real and imaginary part of each kept
+    # pair, each with its column of the rows: branches, then Re and Im beats
+    column = np.concatenate([np.arange(n.size), n.size + pairs.beat_of,
+                             n.size + beats + pairs.beat_of])
+    value = np.concatenate([np.ones(n.size), pairs.coefficient.real, pairs.coefficient.imag])
+    low = np.concatenate([n, low, low])
+    gap = np.concatenate([np.zeros_like(n), gap, gap])
+    live = value != 0.0
+    column, value, low, gap = column[live], value[live], low[live], gap[live]
+    psi = _hermite_table(range(n.max() + 1), math.sqrt(0.5 * state.mass) * q_values)
+    rows = np.zeros((q_values.size, n.size + 2 * beats))
+    for d in np.unique(gap):
+        at = np.flatnonzero(gap == d)
+        top = low[at, None]
+        a = np.arange(top.max() + 1)
+        # sqrt(C(top, a) C(top + d, a + d)) 2^{-top - d/2}, the l = top - a term
+        log_weight = (0.5 * (ln_factorial(top) + ln_factorial(top + d)
+                             - ln_factorial(a) - ln_factorial(a + d))
+                      - ln_factorial(np.maximum(top - a, 0)) - (top + 0.5 * d) * math.log(2.0))
+        weight = np.where(a <= top, np.exp(log_weight), 0.0)
+        columns, local = np.unique(column[at], return_inverse=True)
+        entries = np.zeros((columns.size, at.size))
+        entries[local, np.arange(at.size)] = value[at]
+        products = psi[:a.size] * psi[d:d + a.size]
+        rows[:, columns] += _product(products.T, _product(entries, weight).T)
+    rows *= math.pi * math.sqrt(2.0 / state.mass)
+    return rows[:, :n.size], rows[:, n.size:n.size + beats] + 1j * rows[:, n.size + beats:]
 
 
 def space_time_diagonal(state: PawState, q_values) -> np.ndarray:
@@ -627,8 +607,8 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
     pair is a Beta function, taken in closed form (``_log_clock_overlap``).
     The momentum integral is the Husimi smoothing of Hermite functions
     (``_husimi_rows``) for states whose interference condition number is at
-    most ``_KAPPA_MAX``, else ``_P_ORDER`` Gauss-Legendre nodes over the
-    occupied support (``_gram_rows``).  Branch pairs whose interference
+    most ``_KAPPA_MAX``, else the finite beam-splitter sum
+    (``_closed_form_rows``).  Branch pairs whose interference
     amplitude cannot reach 1e-300 are skipped.  Kept pairs are summed per
     beat frequency before the time axis is applied.
 

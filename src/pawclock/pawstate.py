@@ -107,7 +107,8 @@ def build_state(clock: ClockSpec, oscillator: OscillatorSpec,
     Raises NotAdmissible if the family has fewer than two pairs or fewer than
     two branches are occupied, UnsupportedIndex for a coefficient outside the
     family, ZeroState when every coefficient vanishes, and ValueError for a
-    coefficient or a ratio that is not finite as a float.
+    coefficient, a ratio or an occupied level's energy omega*(n + 1/2) that
+    is not finite as a float.
     """
     kr = Fraction(*kappa_r) if isinstance(kappa_r, tuple) else Fraction(kappa_r)
     ratio_float, kr_float = clock.epsilon / oscillator.omega, ratio_to_float(kr)
@@ -146,6 +147,14 @@ def build_state(clock: ClockSpec, oscillator: OscillatorSpec,
               for _, c in occupied]
     root = math.sqrt(sum(abs(c) ** 2 for c in scaled))
     support = tuple(k for k, _ in occupied)
+    top = max(support, key=levels.__getitem__)
+    try:
+        energy = oscillator.level_energy(levels[top])
+    except OverflowError:  # n itself beyond a float
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise ValueError(f"the Fock level of m+J = {top} has an energy omega*(n + 1/2) "
+                         "too large for a float (over 1.8e308)")
     ratios = CouplingRatios.from_parameters(kr, clock.two_j, oscillator.mass)
     return PawState(clock=clock, oscillator=oscillator, ratios=ratios, family=family,
                     support=support, n_values=tuple(levels[k] for k in support),

@@ -541,6 +541,18 @@ def test_verify_passes_at_huge_fock_levels():
     assert abs(payload["order"] - 2.0) <= 0.1
 
 
+@pytest.mark.parametrize("command", ["verify", "build", "schrodinger"])
+def test_fock_level_energy_beyond_float_exits_one(command):
+    """At 2J = 30 the top level n = 29 * 10^307 + 14 has an energy beyond the
+    largest float: the state is refused with one error line naming it."""
+    result = run_cli(command, "--two-j", "30", *HUGE_FOCK[2:])
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines() == [
+        "error: the Fock level of m+J = 29 has an energy omega*(n + 1/2) too large "
+        "for a float (over 1.8e308)"]
+
+
 def test_verify_at_degenerate_theta_still_reports():
     """At theta = 0 chi^2 vanishes: both clock-angle checks fail, the rest run."""
     result = run_cli("verify", *SPIN3, "--theta", "0")

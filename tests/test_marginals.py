@@ -617,21 +617,6 @@ def test_product_matches_matmul(rows, inner, cols, zero_rows):
         assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("levels", [2, 30])
-def test_product_of_stacks_matches_matmul(levels):
-    """A stack of Gram products, as ``_gram_rows`` forms them: with 2 levels
-    each slice is within _BLAS_BOUND and the result is a @ b bitwise; with
-    30 each slice is cut like a 2-D product."""
-    parts = np.random.default_rng(levels).standard_normal((3, levels, 800))
-    expected = parts @ parts.swapaxes(1, 2)
-    got = _product(parts, parts.swapaxes(1, 2))
-    bound = 16 * np.finfo(float).eps * (np.abs(parts) @ np.abs(parts).swapaxes(1, 2))
-    assert got.shape == expected.shape
-    assert np.all(np.abs(got - expected) <= bound)
-    if levels * 800 * levels <= _BLAS_BOUND:
-        assert np.array_equal(got, expected)
-
-
 MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "tensordot", "inner"}
 
 
@@ -654,6 +639,21 @@ def test_marginals_multiply_matrices_only_in_product():
     assert found == []
 
 
+def test_marginals_import_no_lapack():
+    """marginals.py imports or reads nothing from numpy.linalg or
+    numpy.polynomial, so no LAPACK call can wake OpenBLAS's thread pool to
+    spin after it."""
+    names = []
+    for node in ast.walk(ast.parse(Path(marginals.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names.append(ast.unparse(node))
+    assert [name for name in names if "linalg" in name or "polynomial" in name] == []
+
+
 def test_worker_count_follows_cpu_affinity(monkeypatch):
     """min(4, the CPUs the process may run on), so a cpuset or taskset lowers it."""
     for cpus, expected in ((range(1), 1), (range(3), 3), (range(64), 4)):
@@ -668,10 +668,10 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 
 def test_space_time_peak_memory_on_dense_170():
     """Traced peak of one default-axes call on dense M = 170 (N = 255, 32,385
-    kept pairs) at most 32 MiB.  The Gram kernel with a thread pool peaked at
-    62.9 MiB; the Husimi kernel holds the Hermite table, the (Q x x) Gaussian
-    kernel, the beat sums and one 64-pair chunk.  A small call first builds
-    the state's cached arrays, so they are not counted.
+    kept pairs) at most 32 MiB.  The Husimi kernel holds the Hermite table,
+    the (Q x x) Gaussian kernel, the beat sums and one 64-pair chunk.  A
+    small call first builds the state's cached arrays, so they are not
+    counted.
     """
     state = dense_family_state(170)
     marginal_space_time(state, GridAxis("Q", -1.0, 1.0, 3), GridAxis("t", 0.0, 1.0, 2))

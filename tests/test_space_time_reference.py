@@ -2,11 +2,11 @@
 
 ``reference_space_time`` keeps the original implementation, which sums the
 branch pairs one at a time over 400 momentum nodes, an order at which it has
-converged.  Both production kernels, the Husimi smoothing and the Gram
-product, agree with it to rounding: grid values within 1e-12 of the grid
-maximum, report fields within 1e-12 relative.  The Husimi kernel meets that
-only on well-conditioned states, so the router's choice is tested too, and
-each kernel's momentum integrals against an ``mpmath`` quadrature.
+converged.  Both production kernels, the Husimi smoothing and the closed-form
+beam-splitter sum, agree with it to rounding: grid values within 1e-12 of the
+grid maximum, report fields within 1e-12 relative.  The Husimi kernel meets
+that only on well-conditioned states, so the router's choice is tested too,
+and each kernel's momentum integrals against an ``mpmath`` quadrature.
 """
 
 import math
@@ -119,7 +119,7 @@ def test_dense_states_route_to_the_husimi_kernel(mass):
 
 
 @pytest.mark.parametrize("mass, kappa", [(170, 1.3e3), (340, 1.8e6)])
-def test_far_fock_pairs_route_to_the_gram_kernel(mass, kappa):
+def test_far_fock_pairs_route_to_the_closed_form_kernel(mass, kappa):
     """A two-branch state's kappa is 1/O for its oscillator factor O."""
     state = balanced_two_level_state(mass)
     pairs = _beat_pairs(state)
@@ -127,7 +127,7 @@ def test_far_fock_pairs_route_to_the_gram_kernel(mass, kappa):
     assert condition == pytest.approx(1.0 / oscillator_interference_factor(mass // 2, mass),
                                       rel=1e-12)
     assert condition == pytest.approx(kappa, rel=0.05)
-    assert _row_kernel(state, pairs) is marginals._gram_rows
+    assert _row_kernel(state, pairs) is marginals._closed_form_rows
 
 
 def _oracle_momentum_integral(n1, n2, mass, q):
@@ -151,30 +151,34 @@ def _oracle_momentum_integral(n1, n2, mass, q):
 
 @pytest.mark.parametrize("state, pair, q_values", [
     (dense_family_state(170), (253, 254), [0.3, 1.2, 1.7]),
-    (balanced_two_level_state(170), (0, 1), [0.3, 0.5, 1.0]),
+    (balanced_two_level_state(170), (0, 1), [0.3, 0.5, 1.0, 1.5, 2.0, 2.4]),
 ], ids=["adjacent-253-254", "far-85-170"])
 def test_kernel_momentum_integrals_match_mpmath(state, pair, q_values):
     """Each kernel's C_ij(Q) for one Fock pair at M = 170, read off a beat row
     with coefficient 1, against the oracle, relative to the largest |C|.
 
-    The Gram kernel is within 1e-12 on both pairs (measured 4e-14).  The
-    Husimi kernel's error follows c eps kappa with c <= 150: about 1.4e-14 on
-    the adjacent pair (kappa = 1.0005) and 9e-12 on the far one
-    (kappa = 1.3e3), which is why that state is routed to the Gram kernel.
+    The closed-form kernel is within 1e-12 on both pairs, and within 1e-11
+    of |C| itself at every Q, where C of the far pair runs from 1e-6 down to
+    1e-80 (measured at most 3.9e-12, at Q = 1.0; a 400-node momentum
+    quadrature was off by 2.0e-4 at Q = 1.5).  The Husimi kernel's error
+    follows c eps kappa with c <= 150: about 1.4e-14 on the adjacent pair
+    (kappa = 1.0005) and 9e-12 on the far one (kappa = 1.3e3), which is why
+    that state is routed to the closed form.
     """
     i, j = pair
     n1, n2 = state.n_values[i], state.n_values[j]
     pairs = _BeatPairs(first=np.array([i]), second=np.array([j]),
-                       coefficient=np.array([1.0 + 0.0j]), starts=np.array([0]),
+                       coefficient=np.array([1.0 + 0.0j]), beat_of=np.array([0]),
                        beats=np.array([state.support[i] - state.support[j]]))
     q = np.array(q_values)
     expected = np.array([_oracle_momentum_integral(n1, n2, state.mass, x) for x in q])
     scale = float(np.max(np.abs(expected)))
     kappa = _interference_condition(state, pairs)
     husimi = marginals._husimi_rows(state, q, pairs)[1][:, 0]
-    gram = marginals._gram_rows(state, q, pairs)[1][:, 0]
-    assert np.all(husimi.imag == 0.0) and np.all(gram.imag == 0.0)
-    assert np.max(np.abs(gram.real - expected)) <= 1e-12 * scale
+    closed = marginals._closed_form_rows(state, q, pairs)[1][:, 0]
+    assert np.all(husimi.imag == 0.0) and np.all(closed.imag == 0.0)
+    assert np.max(np.abs(closed.real - expected)) <= 1e-12 * scale
+    assert np.all(np.abs(closed.real - expected) <= 1e-11 * np.abs(expected))
     husimi_error = float(np.max(np.abs(husimi.real - expected)))
     assert husimi_error <= 150.0 * np.finfo(float).eps * kappa * scale
     if kappa < _KAPPA_MAX:
