@@ -477,7 +477,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.append(_check(
         "chi_squared_normalized", abs(total - 1.0), 1e-8,
         f"sum |c_m|^2 = {total:.15f}, the integral of chi^2 by the resolution "
-        f"of identity on the sphere"))
+        f"of identity on the sphere, and of |beta|^2 by those on the sphere "
+        f"and the plane"))
 
     theta, phi = args.theta, args.phi
     try:
@@ -493,11 +494,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                           f"conditional state undefined: {exc}"),
                    _check("schrodinger_order_two", 2.0, 0.1,
                           f"conditional state undefined: {exc}")]
-
-    checks.append(_check(
-        "beta_normalized", abs(total - 1.0), 1e-6,
-        f"sum |c_m|^2 = {total:.15f}, the integral of |beta|^2 by the resolutions "
-        f"of identity on the sphere and the plane"))
 
     all_passed = all(check["passed"] for check in checks)
     report = {"checks": checks, "all_passed": all_passed,

@@ -23,18 +23,12 @@ result has the bits of a per-cell sweep.
 
 The space-time marginal needs, per Q, every momentum integral
 C_ij(Q) = int dP <n_i|z><z|n_j> with z = sqrt(M/2)(Q + iP).  The Husimi
-function is the Wigner function smoothed by the vacuum, so C_ij is a Gaussian
-smoothing of Hermite-function products:
-C_ij(Q) = 2 sqrt(pi/M) int dx psi_{n_i}(x) psi_{n_j}(x) e^{-(sqrt(M) Q - x)^2}.
-One table of psi_n on a uniform x grid, the kept pairs summed per beat
-d = k_i - k_j into B_d(x), and one Gaussian kernel K(Q, x) give the branch
-and beat rows as one matrix product; the (Q, t) grid is then the real part
-of a (Q x beats) by (beats x t) product.  For Fock pairs far apart the
-smoothing cancels: its relative error grows with the condition number kappa
-of ``_interference_condition``.  States above ``_KAPPA_MAX`` take C_ij from
-the finite beam-splitter sum behind the Husimi function instead, Hermite
-functions at the one point y = sqrt(M/2) Q with binomial weights, which is
-exact and needs no x grid.
+function is the position density of the state after a 50:50 beam splitter
+with the vacuum, so C_ij is a finite sum of Hermite functions at the one point
+y = sqrt(M/2) Q with binomial weights, exact for every pair and with no
+quadrature.  The weights factor into one table per branch, the kept pairs of
+one Fock gap share one table of products, and the (Q, t) grid is the real
+part of a (Q x beats) by (beats x t) product.
 
 Every matrix product here goes through ``_product``, whose BLAS calls are
 small enough that OpenBLAS runs each on the calling thread: the bits of the
@@ -68,10 +62,6 @@ class ConfigError(ValueError):
     """A run setting (scenario config or flag) is malformed."""
 
 
-# Branch pairs per step of the Husimi kernel's beat sums.
-_PAIR_CHUNK = 64
-# Largest interference condition number the Husimi kernel is trusted with.
-_KAPPA_MAX = 10.0
 # sqrt of the smallest normal double: products of larger numbers stay normal.
 _FLUSH = math.sqrt(sys.float_info.min)
 # Multiply-adds per BLAS call of ``_product``.  OpenBLAS 0.3.31 kept real
@@ -380,24 +370,6 @@ def _beat_pairs(state: PawState) -> _BeatPairs:
     return _BeatPairs(first, second, coefficient, beat_of, beats)
 
 
-def _interference_condition(state: PawState, pairs: _BeatPairs) -> float:
-    """kappa = sum |a_ij| / sum |a_ij| O_ij over the kept pairs; 1 with none.
-
-    a_ij is the pair's ``coefficient`` and O_ij its oscillator factor
-    (``_log_oscillator_overlap``), which is exactly the plane L1 norm of
-    |<z|n_i><n_j|z>|.  So kappa is how far the beat integrands cancel; for
-    two branches it is 1/O.  The Husimi kernel's relative error in the
-    integrated cross term is about c eps kappa with c between 7 and 150.
-    """
-    if pairs.first.size == 0:
-        return 1.0
-    n = np.array(state.n_values, dtype=float)
-    weight = np.abs(pairs.coefficient)
-    overlap = np.exp(_log_oscillator_overlap(n[pairs.first], n[pairs.second]))
-    damped = float(np.sum(weight * overlap))
-    return float(np.sum(weight)) / damped if damped > 0.0 else math.inf
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for real 2-D a and real 1-D or 2-D b, in BLAS calls of at most
     ``_BLAS_BOUND`` multiply-adds.
@@ -407,9 +379,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     spin after the call.  A product within the bound is ``a @ b``.  A larger
     one cuts the inner axis into ``_INNER`` chunks, summed in order, and each
     chunk into tiles of rows and columns fixed by the shapes, one stacked
-    matmul per chunk and column block.  Rows of ``a`` that are zero across a
-    chunk add exactly zero, so a chunk skips the row blocks before its first
-    and after its last nonzero row without changing a bit.
+    matmul per chunk and column block.
     """
     rows, inner = a.shape
     cols = 1 if b.ndim == 1 else b.shape[1]
@@ -419,44 +389,24 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     depth = min(inner, _INNER)
     width = min(cols, _BLAS_BOUND // (16 * depth))  # tiles at least 16 rows tall
     tall = _BLAS_BOUND // (depth * width)
+    whole = rows // tall * tall  # whole blocks, then one short block
     out = np.zeros((rows, cols))
-    starts = range(0, inner, depth)
-    live = np.logical_or.reduceat(a != 0.0, starts, axis=1)
-    tiles = np.empty(rows * width)
-    for index, start in enumerate(starts):
-        nonzero = np.flatnonzero(live[:, index])
-        if nonzero.size == 0:
-            continue
-        # whole blocks from the one holding the first nonzero row; a short
-        # block only at the end of a
-        low = nonzero[0] // tall * tall
-        high = min(-(-(nonzero[-1] + 1) // tall) * tall, rows)
-        whole = low + (high - low) // tall * tall
+    tiles = np.empty(whole * width)
+    for start in range(0, inner, depth):
         left = a[:, start:start + depth]
-        blocks = left[low:whole].reshape(-1, tall, left.shape[1])
+        blocks = left[:whole].reshape(-1, tall, left.shape[1])
         for col in range(0, cols, width):
             right = columns[start:start + depth, col:col + width]
             target = out[:, col:col + width]
-            result = tiles[:(whole - low) * right.shape[1]].reshape(-1, right.shape[1])
+            result = tiles[:whole * right.shape[1]].reshape(-1, right.shape[1])
             np.matmul(blocks, right, out=result.reshape(-1, tall, right.shape[1]))
-            target[low:whole] += result
-            target[whole:high] += left[whole:high] @ right
+            target[:whole] += result
+            target[whole:] += left[whole:] @ right
     return out.reshape((rows,) + b.shape[1:])
 
 
-def _row_kernel(state: PawState, pairs: _BeatPairs):
-    """The Husimi kernel for states with kappa <= _KAPPA_MAX, else the closed form.
-
-    The closed form is exact at every kappa, but on dense states its weight
-    tables cost more than the Husimi kernel's one product.
-    """
-    if _interference_condition(state, pairs) <= _KAPPA_MAX:
-        return _husimi_rows
-    return _closed_form_rows
-
-
-def _hermite_table(n_values, x: np.ndarray) -> np.ndarray:
-    """psi_n(x) for each n of ``n_values`` (one row each), by the recurrence
+def _hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
+    """psi_n(x) for n = 0..n_max (one row each), by the recurrence
     psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}.
 
     The recurrence runs on psi_n e^{-s(x)}, started at 1 with
@@ -465,13 +415,11 @@ def _hermite_table(n_values, x: np.ndarray) -> np.ndarray:
     below sqrt(tiny) are flushed to 0, which keeps the products out of
     subnormal arithmetic.
     """
-    levels = np.asarray(n_values)
-    table = np.empty((levels.size, x.size))
+    table = np.empty((n_max + 1, x.size))
     log_scale = -0.5 * x * x - 0.25 * math.log(math.pi)
     previous, current = np.zeros_like(x), np.ones_like(x)
-    for n in range(int(levels.max()) + 1):
-        for row in np.flatnonzero(levels == n):
-            table[row] = current * np.exp(log_scale)
+    for n in range(n_max + 1):
+        table[n] = current * np.exp(log_scale)
         previous, current = current, (math.sqrt(2.0 / (n + 1)) * x * current
                                       - math.sqrt(n / (n + 1)) * previous)
         large = np.abs(current) > 1e150
@@ -484,114 +432,79 @@ def _hermite_table(n_values, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def _husimi_rows(state: PawState, q_values: np.ndarray,
-                 pairs: _BeatPairs | None = None):
-    """Momentum-integrated branch products per Q row by Gaussian smoothing.
+def _binomial_weights(n_values) -> np.ndarray:
+    """g[i, a] = sqrt(C(n_i, a) / 2^{n_i}) for a = 0..max(n), 0 for a > n_i.
 
-    C_ij(Q) = 2 sqrt(pi/M) int dx psi_{n_i} psi_{n_j} e^{-(sqrt(M) Q - x)^2}
-    by the trapezoid rule with step h = 2 pi / (2 sqrt(2 n_max + 1) + 32) on
-    |x| <= sqrt(2 n_max + 1) + 12: the step resolves the products' highest
-    frequency 2 sqrt(2 n_max + 1) with 32 to spare, where the Gaussian's
-    spectrum is e^{-256}.  Returns ``branch`` (rows x N), the C_ii, and
-    ``beat`` (rows x beats), each beat's sum of coefficient * C_ij over
-    ``pairs``, from one product with the kernel matrix K(Q, x).
+    One row per branch, from one ``ln_factorial`` table of 0..max(n).
     """
-    width = math.sqrt(2.0 * max(state.n_values) + 1.0)
-    step = 2.0 * math.pi / (2.0 * width + 32.0)
-    half = math.ceil((width + 12.0) / step)
-    x = step * np.arange(-half, half + 1.0)
-    psi = _hermite_table(state.n_values, x)
-    kernel = np.subtract.outer(math.sqrt(state.mass) * q_values, x)
-    np.square(kernel, out=kernel)
-    np.negative(kernel, out=kernel)
-    np.exp(kernel, out=kernel)
-    kernel[kernel < _FLUSH] = 0.0
-    kernel *= 2.0 * math.sqrt(math.pi / state.mass) * step
-    n = psi.shape[0]
-    beats = 0 if pairs is None else pairs.beats.size
-    # one row per psi_i^2, then B_d(x) = sum of coefficient * psi_i psi_j over
-    # the pairs of beat d, as real and imaginary parts.  The pairs are sorted
-    # by beat, so a chunk's beats are one run of rows and its weighted sum is
-    # one small product.
-    integrands = np.zeros((n + 2 * beats, x.size))
-    np.square(psi, out=integrands[:n])
-    if beats:
-        sums = integrands[n:].reshape(2, beats, x.size)
-        parts = np.stack([pairs.coefficient.real, pairs.coefficient.imag])
-        for start in range(0, pairs.first.size, _PAIR_CHUNK):
-            chunk = slice(start, start + _PAIR_CHUNK)
-            products = psi[pairs.first[chunk]]
-            products *= psi[pairs.second[chunk]]
-            local = pairs.beat_of[chunk] - pairs.beat_of[start]
-            weights = np.zeros((2, local[-1] + 1, local.size))
-            weights[:, local, np.arange(local.size)] = parts[:, chunk]
-            weighted = _product(weights.reshape(-1, local.size), products)
-            run = slice(pairs.beat_of[start], pairs.beat_of[start] + local[-1] + 1)
-            sums[:, run] += weighted.reshape(2, -1, x.size)
-    # Entries below sqrt(tiny) would meet kernel entries near sqrt(tiny) in
-    # subnormal products, which run at a fraction of the normal speed.
-    integrands[np.abs(integrands) < _FLUSH] = 0.0
-    rows = _product(kernel, integrands.T)
-    return rows[:, :n], rows[:, n:n + beats] + 1j * rows[:, n + beats:]
+    n = np.asarray(n_values)[:, None]
+    a = np.arange(n.max() + 1)
+    inside = a <= n
+    ln_fact = ln_factorial(a)
+    log_g = 0.5 * (ln_fact[n] - ln_fact[a] - ln_fact[np.where(inside, n - a, 0)]
+                   - n * math.log(2.0))
+    return np.where(inside, np.exp(log_g), 0.0)
 
 
-def _closed_form_rows(state: PawState, q_values: np.ndarray, pairs: _BeatPairs):
+def _closed_form_rows(state: PawState, q_values: np.ndarray,
+                      pairs: _BeatPairs | None = None):
     """Momentum-integrated branch products per Q row by a finite sum.
 
     A 50:50 beam splitter with the vacuum sends |n> to
     sum_l 2^{-n/2} sqrt(C(n, l)) |n-l>|l>, and the Husimi function is the
     position density of its first port (Husimi 1940), so with
-    y = sqrt(M/2) Q
-    C_ij(Q) = pi sqrt(2/M) 2^{-(n_i+n_j)/2}
-              sum_{l=0}^{min(n_i, n_j)} sqrt(C(n_i, l) C(n_j, l)) psi_{n_i-l}(y) psi_{n_j-l}(y).
-    With d = |n_i - n_j| and a = min(n_i, n_j) - l each term is a weight
-    times psi_a psi_{a+d}, so the branches (d = 0) and the kept pairs of one
-    gap d share one table of products, and the rows of a gap are one product
-    of that table with the weights summed per column.  The weights are taken
-    in log space; no term cancels a larger one on the diagonal, and far
-    pairs are accurate relative to C_ij itself.  Returns ``branch`` and
-    ``beat`` as ``_husimi_rows`` does.
+    y = sqrt(M/2) Q and g(n, l) = sqrt(C(n, l) / 2^n)
+    C_ij(Q) = pi sqrt(2/M) sum_{l=0}^{min(n_i, n_j)} g(n_i, l) g(n_j, l) psi_{n_i-l}(y) psi_{n_j-l}(y).
+    For n_i <= n_j, d = n_j - n_i and a = n_i - l, C(n_i, l) = C(n_i, a) and
+    C(n_j, l) = C(n_j, a + d), so each term is g[i, a] g[j, a + d] psi_a psi_{a+d}
+    with g the per-branch table of ``_binomial_weights``.  The branches
+    (d = 0) and the kept pairs of one gap d share one table of products, and
+    the rows of a gap are one product of that table with the weights summed
+    per column.  Every weight is positive, so no term cancels a larger one on
+    the diagonal, and far pairs are accurate relative to C_ij itself.
+    Returns ``branch`` (rows x N), the C_ii, and ``beat`` (rows x beats), each
+    beat's sum of coefficient * C_ij over ``pairs``; without pairs, no beats.
     """
     n = np.array(state.n_values)
-    beats = pairs.beats.size
-    low = np.minimum(n[pairs.first], n[pairs.second])
-    gap = np.abs(n[pairs.first] - n[pairs.second])
+    if pairs is None:
+        first = second = beat_of = np.zeros(0, dtype=int)
+        coefficient, beats = np.zeros(0, dtype=complex), 0
+    else:
+        first, second, coefficient = pairs.first, pairs.second, pairs.coefficient
+        beat_of, beats = pairs.beat_of, pairs.beats.size
+    swap = n[first] > n[second]
+    low, high = np.where(swap, second, first), np.where(swap, first, second)
     # one entry per branch, then the real and imaginary part of each kept
     # pair, each with its column of the rows: branches, then Re and Im beats
-    column = np.concatenate([np.arange(n.size), n.size + pairs.beat_of,
-                             n.size + beats + pairs.beat_of])
-    value = np.concatenate([np.ones(n.size), pairs.coefficient.real, pairs.coefficient.imag])
-    low = np.concatenate([n, low, low])
-    gap = np.concatenate([np.zeros_like(n), gap, gap])
+    branches = np.arange(n.size)
+    column = np.concatenate([branches, n.size + beat_of, n.size + beats + beat_of])
+    value = np.concatenate([np.ones(n.size), coefficient.real, coefficient.imag])
+    low = np.concatenate([branches, low, low])
+    high = np.concatenate([branches, high, high])
     live = value != 0.0
-    column, value, low, gap = column[live], value[live], low[live], gap[live]
-    psi = _hermite_table(range(n.max() + 1), math.sqrt(0.5 * state.mass) * q_values)
+    column, value, low, high = column[live], value[live], low[live], high[live]
+    gap = n[high] - n[low]
+    g = _binomial_weights(n)
+    psi = _hermite_table(int(n.max()), math.sqrt(0.5 * state.mass) * q_values)
     rows = np.zeros((q_values.size, n.size + 2 * beats))
     for d in np.unique(gap):
         at = np.flatnonzero(gap == d)
-        top = low[at, None]
-        a = np.arange(top.max() + 1)
-        # sqrt(C(top, a) C(top + d, a + d)) 2^{-top - d/2}, the l = top - a term
-        log_weight = (0.5 * (ln_factorial(top) + ln_factorial(top + d)
-                             - ln_factorial(a) - ln_factorial(a + d))
-                      - ln_factorial(np.maximum(top - a, 0)) - (top + 0.5 * d) * math.log(2.0))
-        weight = np.where(a <= top, np.exp(log_weight), 0.0)
+        size = n[low[at]].max() + 1
+        weight = g[low[at], :size] * g[high[at], d:d + size]
         columns, local = np.unique(column[at], return_inverse=True)
         entries = np.zeros((columns.size, at.size))
         entries[local, np.arange(at.size)] = value[at]
-        products = psi[:a.size] * psi[d:d + a.size]
+        products = psi[:size] * psi[d:d + size]
         rows[:, columns] += _product(products.T, _product(entries, weight).T)
     rows *= math.pi * math.sqrt(2.0 / state.mass)
     return rows[:, :n.size], rows[:, n.size:n.size + beats] + 1j * rows[:, n.size + beats:]
 
 
 def space_time_diagonal(state: PawState, q_values) -> np.ndarray:
-    """Static part of the space-time marginal along Q (cross terms excluded).
-
-    It has no cross terms to cancel, so the Husimi kernel serves every state.
-    """
+    """Static part of the space-time marginal along Q (cross terms excluded):
+    the branch rows of ``_closed_form_rows`` weighted by |c_m|^2."""
     q_values = np.asarray(q_values, dtype=float)
-    branch, _ = _husimi_rows(state, q_values)
+    branch, _ = _closed_form_rows(state, q_values)
     prefactor = state.clock.epsilon / (2.0 * math.pi)
     plane_norm = state.mass / (2.0 * math.pi)
     return prefactor * plane_norm * _product(branch, np.abs(state.amplitudes) ** 2)
@@ -605,12 +518,10 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
     At each (Q, t) the joint density is integrated over the energy range
     [0, 2*kappa] and over all momenta.  The energy integral of each branch
     pair is a Beta function, taken in closed form (``_log_clock_overlap``).
-    The momentum integral is the Husimi smoothing of Hermite functions
-    (``_husimi_rows``) for states whose interference condition number is at
-    most ``_KAPPA_MAX``, else the finite beam-splitter sum
-    (``_closed_form_rows``).  Branch pairs whose interference
-    amplitude cannot reach 1e-300 are skipped.  Kept pairs are summed per
-    beat frequency before the time axis is applied.
+    The momentum integral is the finite beam-splitter sum of
+    ``_closed_form_rows``.  Branch pairs whose interference amplitude cannot
+    reach 1e-300 are skipped.  Kept pairs are summed per beat frequency
+    before the time axis is applied.
 
     Returns the sampled grid plus an InterferenceReport whose aggregates are
     trapezoid Q-integrals (the cross term's absolute value, averaged over t).
@@ -627,7 +538,7 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
     moduli = np.abs(state.amplitudes)
 
     pairs = _beat_pairs(state)
-    branch, beat = _row_kernel(state, pairs)(state, q_values, pairs)
+    branch, beat = _closed_form_rows(state, q_values, pairs)
     diagonal = plane_norm * _product(branch, moduli ** 2)
     # Re(beat @ phases) from two real products, half the flops of a complex one
     phases = np.exp(1j * np.outer(pairs.beats * epsilon, t_axis.values))

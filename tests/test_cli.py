@@ -386,13 +386,12 @@ def test_verify_passes_on_valid_state():
     assert report["all_passed"] is True
     assert_checks_are_numeric(report)
     checks = {c["name"]: c for c in report["checks"]}
-    for name in ("chi_squared_normalized", "beta_normalized"):
-        assert "resolution" in checks[name]["detail"], name
-    assert checks["chi_squared_normalized"]["value"] == checks["beta_normalized"]["value"]
+    detail = checks["chi_squared_normalized"]["detail"]
+    assert "resolution" in detail and "chi^2" in detail and "|beta|^2" in detail
     names = {check["name"] for check in report["checks"]}
     assert names == {"constraint_residual_zero", "pair_enumeration_matches_search",
                      "chi_squared_normalized", "conditional_norm_unit",
-                     "schrodinger_order_two", "beta_normalized"}
+                     "schrodinger_order_two"}
 
 
 def test_verify_detects_tampered_levels():
@@ -454,7 +453,7 @@ def state_arguments(draw):
 def test_verify_passes_valid_and_catches_tampered_states(args):
     """A valid state passes every check.  Its copy with every Fock level shifted
     by one fails the constraint check and passes the checks that do not read
-    the levels: both normalizations and the conditional norm.
+    the levels: the normalization and the conditional norm.
     """
     two_j, mass, ratio, coefficients = args
     argv = ["verify", "--two-j", str(two_j), "--m", str(mass), "--kappa-r", ratio]
@@ -465,8 +464,7 @@ def test_verify_passes_valid_and_catches_tampered_states(args):
     code, report = verify_in_process(argv + ["--tamper-shift-n", "1"])
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert code == 1 and "constraint_residual_zero" in failed, failed
-    assert not failed & {"chi_squared_normalized", "beta_normalized",
-                         "conditional_norm_unit"}, failed
+    assert not failed & {"chi_squared_normalized", "conditional_norm_unit"}, failed
 
 
 # Valid states at the edges of double range: every branch near a pole, where
@@ -564,7 +562,7 @@ def test_verify_at_degenerate_theta_still_reports():
     names = {check["name"] for check in report["checks"]}
     assert names == {"constraint_residual_zero", "pair_enumeration_matches_search",
                      "chi_squared_normalized", "conditional_norm_unit",
-                     "schrodinger_order_two", "beta_normalized"}
+                     "schrodinger_order_two"}
     assert_checks_are_numeric(report)
 
 

@@ -2,11 +2,11 @@
 
 ``reference_space_time`` keeps the original implementation, which sums the
 branch pairs one at a time over 400 momentum nodes, an order at which it has
-converged.  Both production kernels, the Husimi smoothing and the closed-form
-beam-splitter sum, agree with it to rounding: grid values within 1e-12 of the
-grid maximum, report fields within 1e-12 relative.  The Husimi kernel meets
-that only on well-conditioned states, so the router's choice is tested too,
-and each kernel's momentum integrals against an ``mpmath`` quadrature.
+converged.  The production kernel, the closed-form beam-splitter sum, agrees
+with it to rounding on every state: grid values within 1e-12 of the grid
+maximum, report fields within 1e-12 relative.  Its momentum integrals are
+also checked pair by pair against an ``mpmath`` quadrature, on far pairs
+where |C| spans tens of decades.
 """
 
 import math
@@ -17,18 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pawclock import marginals
 from pawclock.coherent import ln_binomial
 from pawclock.marginals import (
-    _KAPPA_MAX,
     GridAxis,
     _BeatPairs,
     _beat_pairs,
-    _interference_condition,
-    _row_kernel,
+    _closed_form_rows,
     default_time_axis,
     marginal_space_time,
-    oscillator_interference_factor,
 )
 from pawclock.pawstate import assemble_state, balanced_two_level_state, dense_family_state
 from reference_space_time import marginal_space_time as reference_space_time
@@ -110,60 +106,49 @@ def test_space_time_matches_reference_on_random_states(state, q_count, t_count):
     assert_matches_reference(state, q_axis, t_axis)
 
 
-@pytest.mark.parametrize("mass", [10, 20, 40, 170, 340])
-def test_dense_states_route_to_the_husimi_kernel(mass):
-    state = dense_family_state(mass)
-    pairs = _beat_pairs(state)
-    assert _interference_condition(state, pairs) < 1.15
-    assert _row_kernel(state, pairs) is marginals._husimi_rows
-
-
-@pytest.mark.parametrize("mass, kappa", [(170, 1.3e3), (340, 1.8e6)])
-def test_far_fock_pairs_route_to_the_closed_form_kernel(mass, kappa):
-    """A two-branch state's kappa is 1/O for its oscillator factor O."""
-    state = balanced_two_level_state(mass)
-    pairs = _beat_pairs(state)
-    condition = _interference_condition(state, pairs)
-    assert condition == pytest.approx(1.0 / oscillator_interference_factor(mass // 2, mass),
-                                      rel=1e-12)
-    assert condition == pytest.approx(kappa, rel=0.05)
-    assert _row_kernel(state, pairs) is marginals._closed_form_rows
-
-
 def _oracle_momentum_integral(n1, n2, mass, q):
     """C(Q) = int dP <n1|z><z|n2>, z = sqrt(M/2)(Q + iP), by mpmath quad.
 
-    The integrand is e^{-u} u^{(n1+n2)/2} cos((n1 - n2) arctan2(P, Q)) over
-    sqrt(n1! n2!), u = M(Q^2 + P^2)/2, even in P; at M = 170 it is below
-    1e-200 for |P| > 4.  Neither kernel's node set or recurrence is used.
+    The integrand is e^{-u} u^s cos((n1 - n2) arctan2(P, Q)) over
+    sqrt(n1! n2!), u = M(Q^2 + P^2)/2 and s = (n1 + n2)/2, even in P; for
+    the pairs below it is below 1e-100 for |P| > 4.  The kernel's recurrence
+    is not used.  quad's error is absolute, near 1e-32 of the integrand's peak
+    at 30 digits, so a result that many decades below the peak is taken
+    again with as many more digits: at 30 digits the (0, 59) pair at M = 40
+    and Q = 2 was off by 8e-10 of C.
     """
-    with mpmath.workdps(30):
-        q = mpmath.mpf(q)
-        log_norm = -0.5 * (mpmath.loggamma(n1 + 1) + mpmath.loggamma(n2 + 1))
+    q = mpmath.mpf(q)
+    digits = 30
+    while True:
+        with mpmath.workdps(digits):
+            s = mpmath.mpf(n1 + n2) / 2
+            log_norm = -0.5 * (mpmath.loggamma(n1 + 1) + mpmath.loggamma(n2 + 1))
 
-        def integrand(p):
-            u = mass * (q * q + p * p) / 2
-            return (mpmath.exp(log_norm - u + 0.5 * (n1 + n2) * mpmath.log(u))
-                    * mpmath.cos((n1 - n2) * mpmath.atan2(p, q)))
+            def integrand(p):
+                u = mass * (q * q + p * p) / 2
+                return (mpmath.exp(log_norm - u + s * mpmath.log(u))
+                        * mpmath.cos((n1 - n2) * mpmath.atan2(p, q)))
 
-        return float(2 * mpmath.quad(integrand, mpmath.linspace(0, 4, 81)))
+            value = 2 * mpmath.quad(integrand, mpmath.linspace(0, 4, 81))
+            top = max(mass * q * q / 2, s)
+            cancelled = float(log_norm - top + s * mpmath.log(top) - mpmath.log(abs(value)))
+        if digits >= 30 + cancelled / math.log(10.0):
+            return float(value)
+        digits = 30 + math.ceil(cancelled / math.log(10.0))
 
 
 @pytest.mark.parametrize("state, pair, q_values", [
     (dense_family_state(170), (253, 254), [0.3, 1.2, 1.7]),
     (balanced_two_level_state(170), (0, 1), [0.3, 0.5, 1.0, 1.5, 2.0, 2.4]),
-], ids=["adjacent-253-254", "far-85-170"])
+    (dense_family_state(40), (0, 59), [0.3, 0.6, 1.0, 1.5, 2.0, 2.5]),
+], ids=["adjacent-253-254", "far-85-170", "dense-40-far-0-59"])
 def test_kernel_momentum_integrals_match_mpmath(state, pair, q_values):
-    """Each kernel's C_ij(Q) for one Fock pair at M = 170, read off a beat row
-    with coefficient 1, against the oracle, relative to the largest |C|.
-
-    The closed-form kernel is within 1e-12 on both pairs, and within 1e-11
-    of |C| itself at every Q, where C of the far pair runs from 1e-6 down to
-    1e-80 (measured at most 3.9e-12, at Q = 1.0; a 400-node momentum
-    quadrature was off by 2.0e-4 at Q = 1.5).  The Husimi kernel's error
-    follows c eps kappa with c <= 150: about 1.4e-14 on the adjacent pair
-    (kappa = 1.0005) and 9e-12 on the far one (kappa = 1.3e3), which is why
-    that state is routed to the closed form.
+    """The kernel's C_ij(Q) for one Fock pair, read off a beat row with
+    coefficient 1, against the oracle: within 1e-12 of the largest |C| and
+    within 1e-11 of |C| itself at every Q.  C of the far pair (85, 170) runs
+    from 1e-6 down to 1e-80 (measured at most 3.9e-12 relative, at Q = 1.0;
+    a 400-node momentum quadrature was off by 2.0e-4 at Q = 1.5), and that of
+    the pair (0, 59) of the dense M = 40 state from 6e-11 down to 7e-38.
     """
     i, j = pair
     n1, n2 = state.n_values[i], state.n_values[j]
@@ -173,13 +158,7 @@ def test_kernel_momentum_integrals_match_mpmath(state, pair, q_values):
     q = np.array(q_values)
     expected = np.array([_oracle_momentum_integral(n1, n2, state.mass, x) for x in q])
     scale = float(np.max(np.abs(expected)))
-    kappa = _interference_condition(state, pairs)
-    husimi = marginals._husimi_rows(state, q, pairs)[1][:, 0]
-    closed = marginals._closed_form_rows(state, q, pairs)[1][:, 0]
-    assert np.all(husimi.imag == 0.0) and np.all(closed.imag == 0.0)
+    closed = _closed_form_rows(state, q, pairs)[1][:, 0]
+    assert np.all(closed.imag == 0.0)
     assert np.max(np.abs(closed.real - expected)) <= 1e-12 * scale
     assert np.all(np.abs(closed.real - expected) <= 1e-11 * np.abs(expected))
-    husimi_error = float(np.max(np.abs(husimi.real - expected)))
-    assert husimi_error <= 150.0 * np.finfo(float).eps * kappa * scale
-    if kappa < _KAPPA_MAX:
-        assert husimi_error <= 1e-12 * scale
