@@ -19,7 +19,7 @@ import numpy as np
 
 from .coherent import LogAmplitude, SphereCoordinate, hcs_log_magnitude, scs_log_magnitude
 from .constraints import ClockSpec, OscillatorSpec
-from .pawstate import PawState, conditional_state
+from .pawstate import PawState, _branch_phases, conditional_state
 from .table import write_table
 
 
@@ -70,15 +70,14 @@ def beta_amplitude(state: PawState, point: SphereCoordinate,
     Branch m has log magnitude log|c_m| + log|<Omega|J, m>| + log|<alpha|n_m>|
     and phase arg(c_m) - phi*k_m - n_m*arg(alpha), k_m = m+J.  Branches are
     combined by a max-shifted complex sum, so the result is faithful even
-    when every branch underflows a float.
+    when every branch underflows a float.  ValueError where k_max*phi overflows.
     """
-    amplitudes = state.amplitudes.tolist()
     arg_alpha = cmath.phase(alpha)
-    logs = (np.array([math.log(abs(c)) for c in amplitudes])
+    logs = (np.array([math.log(abs(c)) for c in state.amplitudes.tolist()])
             + scs_log_magnitude(point.theta, state.two_j, state.support)
             + hcs_log_magnitude(alpha, state.mass, state.n_values))
-    phases = np.array([cmath.phase(c) - point.phi * k - n * arg_alpha
-                       for c, k, n in zip(amplitudes, state.support, state.n_values)])
+    phases = np.array([phase - n * arg_alpha for phase, n
+                       in zip(_branch_phases(state, point.phi), state.n_values)])
     peak = float(np.max(logs))
     if peak == -math.inf:
         return LogAmplitude(-math.inf, 0.0)

@@ -327,11 +327,18 @@ def _clock_moduli(state: PawState, theta: float) -> tuple[list[float], float]:
 
 
 def _phased(state: PawState, moduli: list[float], phi: float) -> np.ndarray:
-    """The conditional branch amplitudes at clock phase phi: each modulus
-    times e^{i(arg c_m - k_m*phi)}, with k_m = m+J."""
-    return np.array([modulus * cmath.exp(1j * (cmath.phase(c) - k * phi))
-                     for modulus, c, k in zip(moduli, state.amplitudes.tolist(),
-                                              state.support)])
+    """Each conditional branch modulus times e^{i*phase}, phases of ``_branch_phases``."""
+    return np.array([modulus * cmath.exp(1j * phase)
+                     for modulus, phase in zip(moduli, _branch_phases(state, phi))])
+
+
+def _branch_phases(state: PawState, phi: float) -> list[float]:
+    """arg c_m - k_m*phi per branch, k_m = m+J; ValueError where k_max*phi
+    overflows a float and every phase would be NaN."""
+    k_max = max(state.support)
+    if not math.isfinite(k_max * phi):
+        raise ValueError(f"the clock phase k_max*phi = {k_max}*{phi!r} overflows a float")
+    return [cmath.phase(c) - k * phi for c, k in zip(state.amplitudes.tolist(), state.support)]
 
 
 def conditional_state(state: PawState, theta: float, phi: float) -> ConditionalState:

@@ -388,21 +388,26 @@ def test_verify_passes_on_valid_state():
     checks = {c["name"]: c for c in report["checks"]}
     detail = checks["chi_squared_normalized"]["detail"]
     assert "resolution" in detail and "chi^2" in detail and "|beta|^2" in detail
+    assert "i*eps*d/dphi psi = H psi" in checks["constraint_residual_zero"]["detail"]
     names = {check["name"] for check in report["checks"]}
     assert names == {"constraint_residual_zero", "pair_enumeration_matches_search",
-                     "chi_squared_normalized", "conditional_norm_unit",
-                     "schrodinger_order_two"}
+                     "chi_squared_normalized", "conditional_norm_unit"}
 
 
 def test_verify_detects_tampered_levels():
-    result = run_cli("verify", *SPIN3, "--tamper-shift-n", "1")
-    assert result.returncode == 1
-    report = json.loads(result.stdout)
-    assert report["all_passed"] is False
-    failed = {c["name"] for c in report["checks"] if not c["passed"]}
-    assert "constraint_residual_zero" in failed
-    assert "pair_enumeration_matches_search" in failed
-    assert_checks_are_numeric(report)
+    """Every Fock level moved by a shift of 1 or 2 puts each branch off the
+    constraint, and so off the Schroedinger equation, by exactly shift*omega."""
+    for shift in (1, 2):
+        result = run_cli("verify", *SPIN3, "--tamper-shift-n", str(shift))
+        assert result.returncode == 1
+        report = json.loads(result.stdout)
+        assert report["all_passed"] is False
+        checks = {c["name"]: c for c in report["checks"]}
+        failed = {name for name, check in checks.items() if not check["passed"]}
+        assert "constraint_residual_zero" in failed
+        assert "pair_enumeration_matches_search" in failed
+        assert checks["constraint_residual_zero"]["value"] == shift * 1.0
+        assert_checks_are_numeric(report)
 
 
 def test_tamper_flag_overrides_config(tmp_path):
@@ -421,6 +426,26 @@ def test_verify_has_no_skip_beta_flag():
     result = run_cli("verify", *SPIN3, "--skip-beta")
     assert result.returncode == 2
     assert "unrecognized arguments: --skip-beta" in result.stderr
+
+
+def test_verify_takes_no_clock_phase():
+    """No verify check depends on phi, so verify has no --phi flag."""
+    result = run_cli("verify", *SPIN3, "--phi", "1")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --phi 1" in result.stderr
+
+
+@pytest.mark.parametrize("command", [["conditional", "--theta", "1"],
+                                     ["beta", "--theta", "1"], ["schrodinger"]])
+def test_clock_phase_beyond_a_float_exits_one(command):
+    """At phi = 1e308 the phase k_max*phi = 6e308 of the J = 3 state overflows:
+    the command exits 1 with one error line naming it, and prints no NaN."""
+    result = run_cli(*command, "--phi", "1e308")
+    assert result.returncode == 1, result.stdout
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines() == [
+        "error: the clock phase k_max*phi = 6*1e+308 overflows a float"]
+    assert "nan" not in result.stdout.lower()
 
 
 def verify_in_process(argv):
@@ -526,8 +551,9 @@ HUGE_FOCK = ["--two-j", "6", "--m", "1", "--kappa-r", f"{2 * 10 ** 307 + 1}/2"]
 
 
 def test_verify_passes_at_huge_fock_levels():
-    """The finite-difference residuals of phases near 1e307 are finite, so the
-    order study reads 2 and numpy warns of no overflow."""
+    """verify passes on Fock levels near 1e307, and there the finite-difference
+    residuals of the schrodinger study are finite, so its order reads 2 and
+    numpy warns of no overflow."""
     result = run_cli("verify", *HUGE_FOCK)
     assert result.returncode == 0, result.stderr or result.stdout
     assert result.stderr == ""
@@ -552,17 +578,16 @@ def test_fock_level_energy_beyond_float_exits_one(command):
 
 
 def test_verify_at_degenerate_theta_still_reports():
-    """At theta = 0 chi^2 vanishes: both clock-angle checks fail, the rest run."""
+    """At theta = 0 chi^2 vanishes: the conditional norm check fails, the rest run."""
     result = run_cli("verify", *SPIN3, "--theta", "0")
     assert result.returncode == 1
     report = json.loads(result.stdout)
     assert report["all_passed"] is False
     failed = {c["name"]: c["value"] for c in report["checks"] if not c["passed"]}
-    assert failed == {"conditional_norm_unit": 1.0, "schrodinger_order_two": 2.0}
+    assert failed == {"conditional_norm_unit": 1.0}
     names = {check["name"] for check in report["checks"]}
     assert names == {"constraint_residual_zero", "pair_enumeration_matches_search",
-                     "chi_squared_normalized", "conditional_norm_unit",
-                     "schrodinger_order_two"}
+                     "chi_squared_normalized", "conditional_norm_unit"}
     assert_checks_are_numeric(report)
 
 

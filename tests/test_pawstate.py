@@ -530,6 +530,22 @@ def test_state_document_round_trips(state):
     np.testing.assert_allclose(again.amplitudes, state.amplitudes, rtol=1e-15, atol=0.0)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(state=admissible_states())
+def test_built_states_obey_the_schrodinger_equation(state):
+    """Branch m+J of a conditional state turns as exp(-i(m+J)phi), so
+    i*eps*d/dphi psi = H psi reads eps*(m+J) = omega*(n+1/2) on every branch:
+    the constraint, exactly 0 on every built state and its document round trip.
+    With eps = fl(kappa*r)*omega the floats miss it by at most one rounding of
+    kappa*r, checked in exact arithmetic on the floats the dynamics use."""
+    again = state_from_dict(json.loads(json.dumps(state_to_dict(state))))
+    for built in (state, again):
+        assert paw_constraint_residual(built) == 0.0
+        eps, omega = Fraction(built.clock.epsilon), Fraction(built.oscillator.omega)
+        for k, n in zip(built.support, built.n_values):
+            assert abs(eps * k / (omega * (n + Fraction(1, 2))) - 1) <= Fraction(1, 2 ** 52)
+
+
 def test_state_document_rejects_unknown_and_missing_keys():
     doc = state_to_dict(spin3_pair_state())
     bad = dict(doc)
