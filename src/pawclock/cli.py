@@ -31,6 +31,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -648,11 +649,22 @@ def _add_settings_flag(parser: argparse.ArgumentParser, flag: str,
                         metavar=key.upper() if key else "KEY=VALUE", help=help)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads any token starting "-digit" or "-.digit",
+    such as -1e-3, as a value, not a flag: the negative-number pattern of
+    Python 3.13's argparse, whose older one matches plain decimals only.
+    Subparsers are built with the class of their parent."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of ``main``, built once per process: parsing leaves it
     unchanged, and building its ~100 arguments costs more than a small verify."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pawclock",
         description="Page-Wootters magnetic-clock / oscillator simulations")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,11 +15,16 @@ of a branch pair is a Beta function, so its overlap is the closed form
 sqrt(binom(2J, k_i) binom(2J, k_j)) / binom(2J, (k_i + k_j)/2); the momentum
 integrals are taken as below.
 
-The phase-space density depends on (Q, P) only through u = M(Q^2 + P^2)/2,
-so each branch is evaluated once per distinct u and gathered back to the grid.
-The distinct u come from two small sorts, of the squares of each axis and then
-of u on the grid of distinct squares, never from a sort of the full grid; the
-result has the bits of a per-cell sweep.
+The phase-space density depends on (Q, P) only through u = M(Q^2 + P^2)/2
+and is computed on the grid of distinct squares of each axis, then gathered
+back.  A dense Fock ladder takes the Poisson convolution
+pmf(n; u_Q + u_P) = sum_k pmf(n - k; u_Q) pmf(k; u_P): two Poisson tables and
+two matrix products, with the last bits of a per-cell sweep moved and about
+twice as many distinct values for a CSV to format.  It is taken when its
+multiply-adds cost less than the per-u loop and the ladder has at most 4
+levels per branch.  Every other state evaluates each branch once per distinct
+u, found by a sort of the grid of squares, never of the full grid; that result
+has the bits of a per-cell sweep.
 
 The space-time marginal needs, per Q, every momentum integral
 C_ij(Q) = int dP <n_i|z><z|n_j> with z = sqrt(M/2)(Q + iP).  The Husimi
@@ -45,6 +50,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherent import (_libm_log, _log_fock_density, ln_binomial, ln_factorial,
                        logsumexp, xlogy)
@@ -69,6 +75,23 @@ _FLUSH = math.sqrt(sys.float_info.min)
 _BLAS_BOUND = 2 ** 18
 # Inner-axis chunk of a ``_product`` above the bound.
 _INNER = 128
+# ``marginal_phase_space`` takes the Poisson convolution of a ladder of
+# K = n_max + 1 levels and N branches on a Q x P grid of distinct squares when
+# its Q K (K + P) multiply-adds cost less than the loop's N Q P Poisson terms,
+# a term costing this many multiply-adds.  Measured at one BLAS thread on the
+# default axes, dense M = 170 and 340 with every 1st to 32nd level kept: a
+# multiply-add took 0.14-0.17 ns, a loop term 2.3-4.3 ns at N >= 128.  The
+# loop's fixed cost (the sort, the logs and the gather, about 70 ms) is left
+# out, so the rule errs toward the loop.
+_TERM_MACS = 16
+# The convolution also needs K <= _LEVELS_PER_BRANCH N, for the CSV writer:
+# the loop's grid, a bitwise function of U, has about half the distinct values
+# to format.  On the default axes (one BLAS thread, two runs) the CSV from the
+# convolution took 109-183 ms longer for dense M = 40 and 60-71 ms for dense
+# M = 170 with every 4th level kept, against 93-127 and 83-126 ms of compute
+# saved; with every 16th level kept 107-209 ms longer for 55-104 ms, and on
+# the marg-pq default (K = 171, N = 2) 265-292 ms longer for 40-43 ms.
+_LEVELS_PER_BRANCH = 4
 
 
 def _worker_count() -> int:
@@ -208,13 +231,14 @@ def marginal_phase_space(state: PawState, q_axis: GridAxis | None = None,
     Integrating the clock sphere away leaves an exact finite-M mixture of
     Poisson ridges, one per occupied branch, peaking at radius sqrt(2n/M).
 
-    The density depends on (Q, P) only through U, so each branch is evaluated
-    once per distinct U and the sums are gathered back to the grid.  The
-    distinct U are found in two stages that never sort the full grid: the
-    distinct squares of each axis first (801 points give 668 on the default
-    axes), then the distinct U of that reduced grid (146,417 of the 641,601
-    cells).  U is formed in the same operations as on the full grid, so every
-    cell holds the bits of a per-cell sweep.
+    The density is computed on the grid of the distinct squares of each axis
+    (801 points give 668 on the default axes) and gathered back.  A dense
+    Fock ladder takes the Poisson convolution of ``_poisson_convolution``,
+    whose last bits differ from a per-cell sweep, when ``_takes_convolution``
+    finds it cheaper.  Every other state evaluates each branch once per
+    distinct U of that grid (146,417 of the 641,601 cells on the default
+    axes), formed in the same operations as on the full grid, so every cell
+    holds the bits of a per-cell sweep.
     """
     if q_axis is None or p_axis is None:
         default_q, default_p = default_phase_space_axes()
@@ -222,22 +246,69 @@ def marginal_phase_space(state: PawState, q_axis: GridAxis | None = None,
         p_axis = p_axis or default_p
     q2, iq = np.unique(q_axis.values ** 2, return_inverse=True)
     p2, ip = np.unique(p_axis.values ** 2, return_inverse=True)
-    u = 0.5 * state.mass * (q2[:, None] + p2[None, :])
-    # u >= 0 holds no -0.0, so its distinct bit patterns are its distinct values
-    distinct, cell = _distinct(u)
-    del u
-    log_distinct = _libm_log(distinct)
-    values = np.zeros_like(distinct)
-    for weight, n in zip(np.abs(state.amplitudes) ** 2, state.n_values):
-        # in place: a new temporary per step costs more than the arithmetic
-        term = _log_fock_density(distinct, log_distinct, n)
-        np.exp(term, out=term)
-        term *= weight
-        values += term
+    if _takes_convolution(state, p2.size):
+        values = _poisson_convolution(state, q2, p2)
+    else:
+        u = 0.5 * state.mass * (q2[:, None] + p2[None, :])
+        # u >= 0 holds no -0.0, so its distinct bit patterns are its distinct values
+        distinct, cell = _distinct(u)
+        del u
+        log_distinct = _libm_log(distinct)
+        values = np.zeros_like(distinct)
+        for weight, n in zip(np.abs(state.amplitudes) ** 2, state.n_values):
+            # in place: a new temporary per step costs more than the arithmetic
+            term = _log_fock_density(distinct, log_distinct, n)
+            np.exp(term, out=term)
+            term *= weight
+            values += term
+        values = values[cell].reshape(q2.size, p2.size)
     values *= state.mass / (2.0 * math.pi)
-    values = values[cell].reshape(q2.size, p2.size)[np.ix_(iq, ip)]
-    return DistributionGrid(axes=(q_axis, p_axis), values=values,
+    return DistributionGrid(axes=(q_axis, p_axis), values=values[np.ix_(iq, ip)],
                             measure="M/(2*pi) dQ dP")
+
+
+def _takes_convolution(state: PawState, p_squares: int) -> bool:
+    """Whether ``marginal_phase_space`` takes the Poisson convolution on a grid
+    of ``p_squares`` distinct P^2: see ``_TERM_MACS`` and ``_LEVELS_PER_BRANCH``."""
+    levels, branches = max(state.n_values) + 1, len(state.n_values)
+    return (levels <= _LEVELS_PER_BRANCH * branches
+            and levels * (levels + p_squares) <= _TERM_MACS * branches * p_squares)
+
+
+def _poisson_convolution(state: PawState, q2: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """sum_m |c_m|^2 pmf(n_m; u_Q + u_P) over q2 x p2, u = M x/2, by the
+    Poisson convolution pmf(n; u_Q + u_P) = sum_k pmf(n - k; u_Q) pmf(k; u_P).
+
+    With A[k, Q] = pmf(k; u_Q) and B[k, P] = pmf(k; u_P) for the K levels
+    k = 0..n_max it is sum_k A'[k, Q] B[k, P], where
+    A'[k] = sum_m |c_m|^2 A[n_m - k] is the Hankel matrix
+    W[k, j] = |c|^2 of level k + j, a view of the weights by level, times A.
+    ``_product`` takes the view as its left operand and never copies it
+    whole, so the call holds K x (Q + P) table entries and no K x K matrix.
+    Every term is positive.  Entries below sqrt(tiny) are flushed to 0, as in
+    ``_hermite_table``, so no product is subnormal.  On equal squares the
+    result is (V + V^T)/2, bitwise symmetric under Q <-> P.
+    """
+    levels = np.arange(max(state.n_values) + 1)
+    level_weights = np.zeros(2 * levels.size - 1)
+    level_weights[np.array(state.n_values)] = np.abs(state.amplitudes) ** 2
+
+    def poisson_table(squares):
+        u = 0.5 * state.mass * squares
+        table = _log_fock_density(u, _libm_log(u), levels[:, None])
+        np.exp(table, out=table)
+        table[table < _FLUSH] = 0.0
+        return table
+
+    a = poisson_table(q2)
+    same = np.array_equal(q2, p2)
+    folded = _product(sliding_window_view(level_weights, levels.size), a)
+    folded[folded < _FLUSH] = 0.0
+    values = _product(folded.T, a if same else poisson_table(p2))
+    if same:
+        values += values.T
+        values *= 0.5
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 This is the original implementation of
 ``pawclock.marginals.marginal_phase_space``: every occupied branch evaluates
 the Fock density on every cell of the Q x P grid, with scipy's xlogy and
-gammaln.  The production code evaluates each branch once per distinct
-U = M(Q^2 + P^2)/2 in the same operation order, with the bitwise replicas in
-``pawclock.coherent``, so the two agree bit for bit; see tests/test_marginals.py.
+gammaln.  The production code has two routes.  Off a dense Fock ladder it
+evaluates each branch once per distinct U = M(Q^2 + P^2)/2 in the same
+operation order, with the bitwise replicas in ``pawclock.coherent``, so the
+two agree bit for bit.  On a dense ladder, where it costs less, it takes a
+Poisson convolution, which agrees with this sweep to a derived relative
+bound; see tests/test_marginals.py.
 """
 
 from __future__ import annotations

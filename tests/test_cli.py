@@ -448,12 +448,32 @@ def test_clock_phase_beyond_a_float_exits_one(command):
     assert "nan" not in result.stdout.lower()
 
 
-def verify_in_process(argv):
-    """(exit code, report) of one ``pawclock verify`` run in this interpreter."""
+def main_in_process(argv):
+    """(exit code, stdout) of one ``pawclock`` run in this interpreter."""
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         code = cli.main(argv)
-    return code, json.loads(buffer.getvalue())
+    return code, buffer.getvalue()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (["conditional", "--theta", "1"], "--phi", "-1e-3"),
+    (["schrodinger"], "--phi", "-1e-3"),
+    (["beta", "--theta", "1"], "--big-q", "-1e0"),
+    (["beta", "--theta", "1"], "--big-p", "-2.5E-1"),
+])
+def test_negative_number_in_exponent_form_is_a_value(command, flag, value):
+    """``--phi -1e-3`` prints what ``--phi=-1e-3`` prints: every parser reads
+    a token starting "-digit" as a value, as Python 3.13's argparse does."""
+    two_tokens = main_in_process([*command, flag, value])
+    assert two_tokens == main_in_process([*command, f"{flag}={value}"])
+    assert two_tokens[0] == 0 and two_tokens[1]
+
+
+def verify_in_process(argv):
+    """(exit code, report) of one ``pawclock verify`` run in this interpreter."""
+    code, stdout = main_in_process(argv)
+    return code, json.loads(stdout)
 
 
 @st.composite

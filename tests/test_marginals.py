@@ -8,7 +8,9 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -21,6 +23,7 @@ from scipy.stats import binom
 
 from pawclock import marginals
 from pawclock.classical import theta_of_energy
+from pawclock.constraints import enumerate_pairs, reduce_ratio
 from pawclock.marginals import (
     _BLAS_BOUND,
     DistributionGrid,
@@ -172,25 +175,190 @@ def grid_axes(draw, name):
     return GridAxis(name, start, start + draw(st.floats(0.01, 3.0)), count)
 
 
+def phase_space_by(route, state, q_axis, p_axis):
+    """``marginal_phase_space`` forced onto one route, "loop" or "convolution"."""
+    with mock.patch.object(marginals, "_takes_convolution",
+                           lambda *_: route == "convolution"):
+        return marginal_phase_space(state, q_axis, p_axis)
+
+
+class Routed(Exception):
+    """Raised in place of the first step of a route, named in its argument."""
+
+
+def route_of(state, q_axis=None, p_axis=None) -> str:
+    """The route ``marginal_phase_space`` takes, found without taking it."""
+    def stop(route):
+        def first_step(*_):
+            raise Routed(route)
+        return first_step
+
+    with (mock.patch.object(marginals, "_poisson_convolution", stop("convolution")),
+          mock.patch.object(marginals, "_distinct", stop("loop"))):
+        with pytest.raises(Routed) as routed:
+            marginal_phase_space(state, q_axis, p_axis)
+    return routed.value.args[0]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(state=admissible_states() | st.integers(1, 60).map(dense_family_state),
        q_axis=grid_axes("Q"), p_axis=grid_axes("P"))
+@example(state=balanced_two_level_state(170), q_axis=default_phase_space_axes()[0],
+         p_axis=default_phase_space_axes()[1])  # the marg-pq default
 @example(state=dense_family_state(10), q_axis=default_phase_space_axes()[0],
          p_axis=default_phase_space_axes()[1])
 @example(state=dense_family_state(8), q_axis=GridAxis("Q", -2.5, 2.5, 333),
          p_axis=GridAxis("P", -1.3, 2.5, 801))
 def test_phase_space_matches_per_cell_sweep_bitwise(state, q_axis, p_axis):
-    """Evaluating each branch once per distinct U gives the per-cell bits."""
-    grid = marginal_phase_space(state, q_axis, p_axis)
+    """On the loop route, evaluating each branch once per distinct U gives the
+    per-cell bits, for every state (the route is forced here)."""
+    grid = phase_space_by("loop", state, q_axis, p_axis)
     expected = reference_phase_space(state, q_axis, p_axis)
     assert grid.values.shape == expected.values.shape
     assert grid.values.tobytes() == expected.values.tobytes()
 
 
+# The states for which CONVOLUTION_REL is derived, n_max <= 89: dense M <= 60,
+# balanced M <= 88, and random states of 2-6 branches with gapped levels,
+# unequal complex weights and mass 1-12.
+convolution_states = (st.integers(1, 60).map(dense_family_state)
+                      | st.integers(1, 44).map(lambda half: balanced_two_level_state(2 * half))
+                      | admissible_states().filter(lambda state: max(state.n_values) <= 89))
+EPS = np.finfo(float).eps
+# Largest exponent size S = |k log u| + u + ln k! of a Poisson term at
+# k <= 89 that is at least sqrt(tiny) = e^-354.2: where log u < 0,
+# S = -log term <= 354.2; else S <= 2u + 2 ln k!, and
+# k log u - u - ln k! >= -354.2 holds up to u = 611.6 at k = 89, so S <= 1851.
+TERM_SIZE = 1851.0
+# Each exponent k log u - u - ln k! is formed from a log within an ulp, u and
+# ln k! within a few, in three roundings: within eps (2.5 S + 1.5 k).  A
+# convolution term holds two table entries and the per-cell sweep one, and the
+# sums of positive terms add at most eps per term (K <= 90 twice, and the
+# scalings), so the two routes' cells agree within this, relative.
+CONVOLUTION_REL = (3 * (2.5 * TERM_SIZE + 1.5 * 89) + 2 * 90 + 10) * EPS
+# A flushed table entry drops at most sqrt(tiny) per level k, three times.
+CONVOLUTION_FLOOR = 1e-130
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(state=convolution_states, q_axis=grid_axes("Q"), p_axis=grid_axes("P"))
+@example(state=dense_family_state(10), q_axis=default_phase_space_axes()[0],
+         p_axis=default_phase_space_axes()[1])
+@example(state=dense_family_state(8), q_axis=GridAxis("Q", -2.5, 2.5, 333),
+         p_axis=GridAxis("P", -1.3, 2.5, 801))
+def test_phase_space_convolution_matches_per_cell_sweep(state, q_axis, p_axis):
+    """On the convolution route (forced here) each cell is within
+    CONVOLUTION_REL of the per-cell sweep, relative, wherever the sweep
+    exceeds CONVOLUTION_FLOOR, and within CONVOLUTION_REL of the grid maximum
+    everywhere, plus the flushed entries: at most 3 (n_max + 1) sqrt(tiny)
+    M/(2 pi), which is below eps * CONVOLUTION_FLOOR.  Derived for every
+    state of the strategy (n_max <= 89), not measured on this draw;
+    measured, the largest relative difference on dense M = 10-60 is ~1e-13."""
+    grid = phase_space_by("convolution", state, q_axis, p_axis).values
+    expected = reference_phase_space(state, q_axis, p_axis).values
+    difference = np.abs(grid - expected)
+    flushed = 3 * (max(state.n_values) + 1) * marginals._FLUSH * state.mass / (2 * math.pi)
+    above = expected > CONVOLUTION_FLOOR
+    assert np.all(difference[above] <= CONVOLUTION_REL * expected[above])
+    assert np.all(difference <= CONVOLUTION_REL * expected.max() + flushed)
+
+
+@pytest.mark.parametrize("mass", [10, 20, 40, 170])
+def test_phase_space_convolution_on_the_default_axes(mass):
+    """Dense M = 10, 20, 40 and 170 take the convolution and agree with the
+    per-cell sweep to 1e-12 of the grid maximum, and to 1e-12 relative on
+    every cell above 1e-140 (measured: 1.7e-14, 5.2e-14, 9.3e-14 and 5.0e-13
+    relative)."""
+    state = dense_family_state(mass)
+    assert route_of(state) == "convolution"
+    grid = marginal_phase_space(state).values
+    expected = reference_phase_space(state).values
+    difference = np.abs(grid - expected)
+    above = expected > 1e-140
+    assert np.all(difference <= 1e-12 * expected.max())
+    assert np.all(difference[above] <= 1e-12 * expected[above])
+
+
+def equal_weight_state(two_j, kappa_r):
+    """Equal weight on every allowed pair at M = 1, the CLI's default state."""
+    family = enumerate_pairs(reduce_ratio(Fraction(kappa_r)), two_j)
+    amp = 1.0 / math.sqrt(len(family.pairs))
+    return assemble_state(two_j, 1, kappa_r, {k: amp for k, _ in family.pairs})
+
+
+@pytest.mark.parametrize("state, axes, route", [
+    (dense_family_state(2), None, "convolution"),  # K = N = 3
+    (dense_family_state(10), None, "convolution"),  # K = N = 15
+    (dense_family_state(170), None, "convolution"),  # K = N = 255
+    (balanced_two_level_state(6), None, "convolution"),  # K = 7 <= 4N = 8
+    (balanced_two_level_state(8), None, "loop"),  # K = 9 > 4N = 8
+    (balanced_two_level_state(170), None, "loop"),  # the marg-pq default
+    # K = 13,499 <= 4N = 18,000, but its fold costs K (K + P) = 1.9e8
+    # multiply-adds per Q against 16 N P = 4.8e7
+    (equal_weight_state(9000, "3/2"), None, "loop"),
+    # one distinct P^2: K (K + 1) = 240 <= 16 N = 240 at dense M = 10,
+    # 930 > 480 at dense M = 20
+    (dense_family_state(10), GridAxis("P", -1.0, 1.0, 2), "convolution"),
+    (dense_family_state(20), GridAxis("P", -1.0, 1.0, 2), "loop"),
+], ids=["dense2", "dense10", "dense170", "balanced6", "balanced8", "marg-pq",
+        "two-j-9000", "dense10-one-square", "dense20-one-square"])
+def test_phase_space_routes_by_cost_and_ladder_density(state, axes, route):
+    """The convolution takes a ladder of K = n_max + 1 levels and N branches
+    when K <= 4N and its multiply-adds, Q K (K + P), are at most 16 N Q P;
+    every other state takes the loop."""
+    q_axis = default_phase_space_axes()[0]
+    assert route_of(state, q_axis, axes or default_phase_space_axes()[1]) == route
+
+
+# (state, Q index, P index) on the default axes: the grid maximum, a ridge
+# crest of the P = 0 section, Q = 2 on that section beyond the outermost
+# ridge, and a tail cell near 1e-49.
+ORACLE_CELLS = [
+    (40, 266, 443), (40, 550, 400), (40, 720, 400), (40, 0, 0),
+    (170, 297, 583), (170, 612, 400), (170, 720, 400), (170, 691, 691),
+]
+
+
+@pytest.mark.parametrize("mass, iq, ip", ORACLE_CELLS)
+def test_phase_space_convolution_matches_mpmath(mass, iq, ip):
+    """Dense M = 40 and 170 on the convolution route against the Poisson
+    mixture at 40 digits, at the float grid's own (Q, P): within 1e-12
+    relative, in the crest, on the P = 0 section and in the tail."""
+    state = dense_family_state(mass)
+    assert route_of(state) == "convolution"
+    grid = marginal_phase_space(state)
+    q, p = (mpmath.mpf(float(axis.values[i])) for axis, i in zip(grid.axes, (iq, ip)))
+    with mpmath.workdps(40):
+        u = mpmath.mpf(mass) / 2 * (q ** 2 + p ** 2)
+        exact = mass / (2 * mpmath.pi) * mpmath.fsum(
+            mpmath.mpf(float(abs(c))) ** 2 * mpmath.exp(-u) * u ** n / mpmath.factorial(n)
+            for c, n in zip(state.amplitudes, state.n_values))
+        assert abs(grid.values[iq, ip] - exact) <= 1e-12 * exact
+    if (iq, ip) == (0, 0) or iq == ip == 691:
+        assert 1e-50 < exact < 1e-48
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(state=admissible_states() | convolution_states,
+       route=st.sampled_from(["loop", "convolution"]), axis=grid_axes("Q"))
+@example(state=dense_family_state(10), route="convolution",
+         axis=default_phase_space_axes()[0])
+@example(state=balanced_two_level_state(170), route="loop",
+         axis=default_phase_space_axes()[0])
+def test_phase_space_is_symmetric_on_equal_axes(state, route, axis):
+    """On equal Q and P axes the grid equals its transpose bit for bit, on
+    both routes: U is a sum of the two squares, and the convolution's grid
+    is (V + V^T)/2."""
+    grid = phase_space_by(route, state, axis,
+                          GridAxis("P", axis.start, axis.stop, axis.count))
+    assert grid.values.tobytes() == grid.values.T.tobytes()
+
+
 def test_phase_space_evaluates_each_branch_once_per_distinct_radius(monkeypatch):
-    """Dense M = 10 on the default axes: 15 kernel calls of 146,417 radii each,
-    not of the 641,601 cells, all reading one libm log of those radii."""
-    state = dense_family_state(10)
+    """The marg-pq default (balanced M = 170) on the default axes: 2 kernel
+    calls of 144,922 radii each, not of the 641,601 cells, all reading one
+    libm log of those radii."""
+    state = balanced_two_level_state(170)
     kernel, libm_log = marginals._log_fock_density, marginals._libm_log
     sizes, logs = [], []
 
@@ -208,9 +376,9 @@ def test_phase_space_evaluates_each_branch_once_per_distinct_radius(monkeypatch)
     marginal_phase_space(state)
     q_axis, p_axis = default_phase_space_axes()
     u = 0.5 * state.mass * (q_axis.values[:, None] ** 2 + p_axis.values[None, :] ** 2)
-    assert np.unique(u).size == 146_417
-    assert sizes == [146_417] * len(state.n_values)
-    assert [log_u.size for log_u in logs] == [146_417]
+    assert np.unique(u).size == 144_922
+    assert sizes == [144_922] * len(state.n_values)
+    assert [log_u.size for log_u in logs] == [144_922]
 
 
 def test_phase_space_peak_memory_stays_below_four_grids():
