@@ -393,7 +393,11 @@ def cmd_schrodinger(args: argparse.Namespace) -> int:
     config = _load_config(args)
     state = _resolve_state(args, config)
     base = args.dphi if args.dphi is not None else default_dphi(state)
-    steps = tuple(base / 2 ** i for i in range(args.halvings))
+    # refused before the steps are built: ldexp neither overflows nor raises
+    if math.ldexp(base, 1 - args.halvings) < sys.float_info.min:
+        raise ValueError(f"--halvings {args.halvings} takes dphi = {base!r} below the "
+                         f"smallest normal float ({sys.float_info.min!r})")
+    steps = tuple(math.ldexp(base, -i) for i in range(args.halvings))
     study = schrodinger_order_study(state, args.theta, args.phi, steps=steps)
     payload = {
         "theta": args.theta,

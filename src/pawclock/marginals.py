@@ -33,7 +33,10 @@ with the vacuum, so C_ij is a finite sum of Hermite functions at the one point
 y = sqrt(M/2) Q with binomial weights, exact for every pair and with no
 quadrature.  The weights factor into one table per branch, the kept pairs of
 one Fock gap share one table of products, and the (Q, t) grid is the real
-part of a (Q x beats) by (beats x t) product.
+part of a (Q x beats) by (beats x t) product.  One beat is one Fock gap: the
+constraint eps(m + J) = omega(n + 1/2) gives n = kappa_r k - 1/2, so the gap
+d = kappa_r |k_i - k_j| fixes the beat.  The pairs are found gap by gap from
+a map of the occupied ladder, and no list of all branch pairs is formed.
 
 Every matrix product here goes through ``_product``, whose BLAS calls are
 small enough that OpenBLAS runs each on the calling thread: the bits of the
@@ -189,6 +192,11 @@ class InterferenceReport:
     oscillator one from the factorial mismatch of the two Fock levels.  The
     aggregates i1 >= i2 (integrated diagonal contributions) and i_int
     (integrated cross magnitude) are filled in by marginal_space_time.
+
+    marginal_space_time takes the factors of the heaviest pair: the two
+    branches of largest |c|, the lower index winning a tie.  For N > 2 they
+    describe only that pair, while the aggregates cover every branch and
+    every kept pair.
     """
 
     clock_suppression_factor: float
@@ -405,42 +413,6 @@ def interference_suppression(two_j: int, m1_plus_j: int, m2_plus_j: int,
     )
 
 
-@dataclass(frozen=True)
-class _BeatPairs:
-    """Branch pairs i < j whose interference survives the amplitude cut.
-
-    Sorted by beat d = k_i - k_j; pair p has beat ``beats[beat_of[p]]``.
-    ``coefficient`` is 2|c_i||c_j| A_ij e^{-i(gamma_i - gamma_j)},
-    A_ij the energy overlap ``_log_clock_overlap`` of the pair.
-    """
-
-    first: np.ndarray
-    second: np.ndarray
-    coefficient: np.ndarray
-    beat_of: np.ndarray
-    beats: np.ndarray
-
-
-def _beat_pairs(state: PawState) -> _BeatPairs:
-    """Pairs whose amplitude 2|c_i||c_j| A_ij can reach 1e-300 (log > -700)."""
-    k = np.array(state.support)
-    first, second = np.triu_indices(k.size, 1)
-    moduli = np.abs(state.amplitudes)
-    gammas = np.angle(state.amplitudes)
-    product = 2.0 * moduli[first] * moduli[second]
-    # A product that underflowed to 0 has log < -744 and A_ij <= 1, so the
-    # pair falls below the cut whatever its log is taken to be.
-    log_amp = (np.log(product, out=np.full(product.shape, -np.inf), where=product > 0.0)
-               + _log_clock_overlap(state.two_j, k[first], k[second]))
-    keep = log_amp > -700.0
-    beat = k[first[keep]] - k[second[keep]]
-    order = np.argsort(beat, kind="stable")
-    first, second = first[keep][order], second[keep][order]
-    beats, beat_of = np.unique(beat[order], return_inverse=True)
-    coefficient = np.exp(log_amp[keep][order] - 1j * (gammas[first] - gammas[second]))
-    return _BeatPairs(first, second, coefficient, beat_of, beats)
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for real 2-D a and real 1-D or 2-D b, in BLAS calls of at most
     ``_BLAS_BOUND`` multiply-adds.
@@ -517,8 +489,7 @@ def _binomial_weights(n_values) -> np.ndarray:
     return np.where(inside, np.exp(log_g), 0.0)
 
 
-def _closed_form_rows(state: PawState, q_values: np.ndarray,
-                      pairs: _BeatPairs | None = None):
+def _closed_form_rows(state: PawState, q_values: np.ndarray):
     """Momentum-integrated branch products per Q row by a finite sum.
 
     A 50:50 beam splitter with the vacuum sends |n> to
@@ -528,54 +499,76 @@ def _closed_form_rows(state: PawState, q_values: np.ndarray,
     C_ij(Q) = pi sqrt(2/M) sum_{l=0}^{min(n_i, n_j)} g(n_i, l) g(n_j, l) psi_{n_i-l}(y) psi_{n_j-l}(y).
     For n_i <= n_j, d = n_j - n_i and a = n_i - l, C(n_i, l) = C(n_i, a) and
     C(n_j, l) = C(n_j, a + d), so each term is g[i, a] g[j, a + d] psi_a psi_{a+d}
-    with g the per-branch table of ``_binomial_weights``.  The branches
-    (d = 0) and the kept pairs of one gap d share one table of products, and
-    the rows of a gap are one product of that table with the weights summed
-    per column.  Every weight is positive, so no term cancels a larger one on
-    the diagonal, and far pairs are accurate relative to C_ij itself.
-    Returns ``branch`` (rows x N), the C_ii, and ``beat`` (rows x beats), each
-    beat's sum of coefficient * C_ij over ``pairs``; without pairs, no beats.
+    with g the per-branch table of ``_binomial_weights``.  Every weight is
+    positive, so no term cancels a larger one on the diagonal, and far pairs
+    are accurate relative to C_ij itself.
+
+    One beat is one Fock gap.  Branch k holds n = kappa_r k - 1/2 (the
+    constraint eps(m + J) = omega(n + 1/2) of Page and Wootters), so n rises
+    with k and a beat k_i - k_j has the one gap d = kappa_r (k_j - k_i).
+    Branch i sits on rung r_i = (k_i - k_0)/k_step of the ladder of occupied
+    k, k_step = gcd(k_i - k_0): the pairs of a beat s rungs wide are the
+    branches i with rung r_i + s occupied, read from one map of rungs to
+    branches.  A pair is kept when its amplitude 2|c_i||c_j| A_ij, A_ij the
+    energy overlap of ``_log_clock_overlap``, can reach 1e-300 (log > -700).
+    A_ij comes from a per-branch table of (1/2) ln C(2J, k) and a table of
+    ln C(2J, (k_i + k_j)/2) over the rung sums r_i + r_j, 2 r_max + 1 entries
+    rather than 2J + 1.  The kept pairs of a gap share one table of products
+    psi_a psi_{a+d}, and their rows are one product of that table with their
+    weights summed per real and imaginary part of the coefficient; the
+    branches (d = 0) share psi_a^2.
+    Returns ``branch`` (rows x N), the C_ii; ``beat`` (2 x rows x beats),
+    the real and imaginary part of each beat's sum of
+    2|c_i||c_j| A_ij e^{-i(gamma_i - gamma_j)} C_ij over its kept pairs; and
+    the beats k_i - k_j, largest gap first.
     """
-    n = np.array(state.n_values)
-    if pairs is None:
-        first = second = beat_of = np.zeros(0, dtype=int)
-        coefficient, beats = np.zeros(0, dtype=complex), 0
-    else:
-        first, second, coefficient = pairs.first, pairs.second, pairs.coefficient
-        beat_of, beats = pairs.beat_of, pairs.beats.size
-    swap = n[first] > n[second]
-    low, high = np.where(swap, second, first), np.where(swap, first, second)
-    # one entry per branch, then the real and imaginary part of each kept
-    # pair, each with its column of the rows: branches, then Re and Im beats
-    branches = np.arange(n.size)
-    column = np.concatenate([branches, n.size + beat_of, n.size + beats + beat_of])
-    value = np.concatenate([np.ones(n.size), coefficient.real, coefficient.imag])
-    low = np.concatenate([branches, low, low])
-    high = np.concatenate([branches, high, high])
-    live = value != 0.0
-    column, value, low, high = column[live], value[live], low[live], high[live]
-    gap = n[high] - n[low]
+    n, k = np.array(state.n_values), np.array(state.support)
+    moduli, gammas = np.abs(state.amplitudes), np.angle(state.amplitudes)
+    k_step = int(np.gcd.reduce(k - k[0]))
+    rung = (k - k[0]) // k_step
+    half_ln = 0.5 * ln_binomial(state.two_j, k)
+    # the midpoint (k_i + k_j)/2 is k_0 + k_step (r_i + r_j)/2
+    ln_mid = ln_binomial(state.two_j, k[0] + 0.5 * k_step * np.arange(2 * rung[-1] + 1))
+    branch_of = np.full(2 * rung[-1] + 1, -1)  # rungs above the top hold no branch
+    branch_of[rung] = np.arange(n.size)
     g = _binomial_weights(n)
-    psi = _hermite_table(int(n.max()), math.sqrt(0.5 * state.mass) * q_values)
-    rows = np.zeros((q_values.size, n.size + 2 * beats))
-    for d in np.unique(gap):
-        at = np.flatnonzero(gap == d)
-        size = n[low[at]].max() + 1
-        weight = g[low[at], :size] * g[high[at], d:d + size]
-        columns, local = np.unique(column[at], return_inverse=True)
-        entries = np.zeros((columns.size, at.size))
-        entries[local, np.arange(at.size)] = value[at]
-        products = psi[:size] * psi[d:d + size]
-        rows[:, columns] += _product(products.T, _product(entries, weight).T)
-    rows *= math.pi * math.sqrt(2.0 / state.mass)
-    return rows[:, :n.size], rows[:, n.size:n.size + beats] + 1j * rows[:, n.size + beats:]
+    psi = _hermite_table(int(n[-1]), math.sqrt(0.5 * state.mass) * q_values)
+    scale = math.pi * math.sqrt(2.0 / state.mass)
+    branch = _product((psi * psi).T, (g * g).T)
+    branch *= scale
+    parts, beats = [], []
+    for apart in range(rung[-1], 0, -1):  # pairs this many rungs apart, largest gap first
+        partner = branch_of[rung + apart]
+        low = (partner >= 0).nonzero()[0]
+        if not low.size:
+            continue
+        high = partner[low]
+        product = 2.0 * moduli[low] * moduli[high]
+        # A product that underflowed to 0 has log < -744 and A_ij <= 1, so the
+        # pair falls below the cut whatever its log is taken to be.
+        log_amp = (np.log(product, out=np.full(product.shape, -np.inf), where=product > 0.0)
+                   + (half_ln[low] + half_ln[high] - ln_mid[rung[low] + rung[high]]))
+        keep = log_amp > -700.0
+        if not keep.any():
+            continue
+        low, high = low[keep], high[keep]
+        coefficient = np.exp(log_amp[keep] - 1j * (gammas[low] - gammas[high]))
+        d, size = n[high[0]] - n[low[0]], n[low[-1]] + 1
+        summed = _product(np.array([coefficient.real, coefficient.imag]),
+                          g[low, :size] * g[high, d:d + size])
+        parts.append(_product((psi[:size] * psi[d:d + size]).T, summed.T))
+        beats.append(k[low[0]] - k[high[0]])
+    beat = (np.stack([part.T for part in parts], axis=-1) if parts
+            else np.zeros((2, q_values.size, 0)))
+    beat *= scale
+    return branch, beat, np.array(beats, dtype=int)
 
 
 def space_time_diagonal(state: PawState, q_values) -> np.ndarray:
     """Static part of the space-time marginal along Q (cross terms excluded):
     the branch rows of ``_closed_form_rows`` weighted by |c_m|^2."""
     q_values = np.asarray(q_values, dtype=float)
-    branch, _ = _closed_form_rows(state, q_values)
+    branch, _, _ = _closed_form_rows(state, q_values)
     prefactor = state.clock.epsilon / (2.0 * math.pi)
     plane_norm = state.mass / (2.0 * math.pi)
     return prefactor * plane_norm * _product(branch, np.abs(state.amplitudes) ** 2)
@@ -608,13 +601,12 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
     plane_norm = state.mass / (2.0 * math.pi)
     moduli = np.abs(state.amplitudes)
 
-    pairs = _beat_pairs(state)
-    branch, beat = _closed_form_rows(state, q_values, pairs)
+    branch, beat, beats = _closed_form_rows(state, q_values)
     diagonal = plane_norm * _product(branch, moduli ** 2)
     # Re(beat @ phases) from two real products, half the flops of a complex one
-    phases = np.exp(1j * np.outer(pairs.beats * epsilon, t_axis.values))
-    cross = _product(np.ascontiguousarray(beat.real), np.ascontiguousarray(phases.real))
-    sine = _product(np.ascontiguousarray(beat.imag), np.ascontiguousarray(phases.imag))
+    phases = np.exp(1j * np.outer(beats * epsilon, t_axis.values))
+    cross = _product(beat[0], np.ascontiguousarray(phases.real))
+    sine = _product(beat[1], np.ascontiguousarray(phases.imag))
     cross -= sine
     cross *= plane_norm
     # |cross| into the sine part and the grid into cross: each fresh grid-sized
@@ -638,9 +630,7 @@ def marginal_space_time(state: PawState, q_axis: GridAxis | None = None,
         axes=(q_axis, t_axis), values=values,
         measure="eps/(2*pi), energy and momentum integrated out")
 
-    first, second = np.triu_indices(moduli.size, 1)
-    best = int(np.argmax(moduli[first] * moduli[second]))
-    i, j = int(first[best]), int(second[best])
+    i, j = sorted(np.argsort(-moduli, kind="stable")[:2].tolist())
     report = interference_suppression(state.two_j, state.support[i], state.support[j],
                                       state.n_values[i], state.n_values[j])
     return grid, replace(report, i1=i1, i2=i2, i_int=i_int, ratio=i_int / (i1 + i2))

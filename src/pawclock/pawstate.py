@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -366,8 +367,11 @@ def _residuals(state: PawState, theta: float, phi: float,
                steps: tuple[float, ...]) -> tuple[float, ...]:
     """The defect of ``schrodinger_residual`` at each step: the moduli of the
     conditional state are taken once, and each step re-phases them."""
-    if any(dphi <= 0 for dphi in steps):
-        raise ValueError("dphi must be positive")
+    # a subnormal step overflows the complex division of the difference
+    smallest = min(steps)
+    if not smallest >= sys.float_info.min:
+        raise ValueError(f"dphi must be positive and at least the smallest normal "
+                         f"float ({sys.float_info.min!r}), got {smallest!r}")
     moduli, _ = _clock_moduli(state, theta)
     center = _phased(state, moduli, phi)
     h_diag = np.array([state.oscillator.level_energy(n) for n in state.n_values])

@@ -597,6 +597,21 @@ def test_fock_level_energy_beyond_float_exits_one(command):
         "for a float (over 1.8e308)"]
 
 
+@pytest.mark.parametrize("halvings", ["1020", "1030"])
+def test_schrodinger_halvings_below_a_normal_step_exits_one(halvings):
+    """The default step of the 2J = 6 example, 1/600, falls below the smallest
+    normal float after 1013 halvings.  At 1020 the subnormal step overflowed
+    the complex division, so the command printed NaN residuals and an order
+    of NaN, which is not JSON; at 1030, 2 ** i overflowed a float with a
+    traceback.  Both are refused with one error line and no output."""
+    result = run_cli("schrodinger", "--halvings", halvings)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: --halvings {halvings} takes dphi = 0.0016666666666666668 below the "
+        "smallest normal float (2.2250738585072014e-308)"]
+
+
 def test_verify_at_degenerate_theta_still_reports():
     """At theta = 0 chi^2 vanishes: the conditional norm check fails, the rest run."""
     result = run_cli("verify", *SPIN3, "--theta", "0")

@@ -15,7 +15,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.special import betainc, gammainc, gammaincc, gammaln
@@ -699,6 +699,41 @@ def test_marginal_space_time_report_and_positivity():
         clock_interference_factor(30, 11, 21), rel=1e-12)
 
 
+def report_pair_factors(state, i, j):
+    return interference_suppression(state.two_j, state.support[i], state.support[j],
+                                    state.n_values[i], state.n_values[j])
+
+
+def test_space_time_report_pair_of_equal_weights_is_the_first_two():
+    """With every |c| equal the heaviest pair is a tie, won by the lowest
+    indices: the factors are those of branches 0 and 1."""
+    state = dense_family_state(10)
+    _, report = marginal_space_time(state, GridAxis("Q", -1.0, 1.0, 3),
+                                    GridAxis("t", 0.0, 1.0, 2))
+    expected = report_pair_factors(state, 0, 1)
+    assert report.clock_suppression_factor == expected.clock_suppression_factor
+    assert report.oscillator_suppression_factor == expected.oscillator_suppression_factor
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(moduli=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=9, unique=True),
+       phases=st.lists(st.floats(-math.pi, math.pi), min_size=9, max_size=9))
+def test_space_time_report_pair_is_the_two_largest_moduli(moduli, phases):
+    """For distinct |c| the report's factors are those of the two branches of
+    largest |c|, in branch order, on the 9-branch ladder of 2J = 18."""
+    support = [2 * label + 1 for label in range(len(moduli))]
+    state = assemble_state(two_j=18, mass=6, eps_over_omega="1/2", coefficients={
+        k: r * complex(math.cos(a), math.sin(a)) for k, r, a in zip(support, moduli, phases)})
+    normalized = np.abs(state.amplitudes).tolist()
+    assume(len(set(normalized)) == len(normalized))
+    i, j = sorted(sorted(range(len(normalized)), key=normalized.__getitem__)[-2:])
+    _, report = marginal_space_time(state, GridAxis("Q", -1.0, 1.0, 3),
+                                    GridAxis("t", 0.0, 1.0, 2))
+    expected = report_pair_factors(state, i, j)
+    assert report.clock_suppression_factor == expected.clock_suppression_factor
+    assert report.oscillator_suppression_factor == expected.oscillator_suppression_factor
+
+
 def test_marginal_space_time_interference_oscillates_in_time():
     """The cross term beats at frequency |k1-k2|*eps = M*omega/2 for the
     balanced states, so its period is two oscillator periods."""
@@ -852,23 +887,34 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     assert _worker_count() == 2
 
 
-def test_space_time_peak_memory_on_dense_170():
-    """Traced peak of one default-axes call on dense M = 170 (N = 255, 32,385
-    kept pairs) at most 22 MiB; measured 16.9 MiB, against 24.1 MiB when dense
-    states took a Gaussian smoothing on an x grid.  The kernel holds the
-    (n_max + 1) x Q table of psi_n, the per-branch weight table, and one gap's
-    products and weights at a time.  A small call first builds the state's
-    cached arrays, so they are not counted.
-    """
-    state = dense_family_state(170)
+def traced_space_time_peak(state):
+    """Traced peak of one default-axes space-time call.  A small call first
+    builds the state's cached arrays, so they are not counted."""
     marginal_space_time(state, GridAxis("Q", -1.0, 1.0, 3), GridAxis("t", 0.0, 1.0, 2))
     tracemalloc.start()
     try:
         marginal_space_time(state)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 22 * 2 ** 20
+
+
+def test_space_time_peak_memory_on_dense_170():
+    """Dense M = 170 (N = 255, 254 Fock gaps) peaks at most 14 MiB; measured
+    12.0 MiB, against 16.9 MiB when every branch pair was listed before the
+    gaps were scanned.  The kernel holds the (n_max + 1) x Q table of psi_n,
+    the per-branch weight table, the rows, and one gap's products and weights
+    at a time.
+    """
+    assert traced_space_time_peak(dense_family_state(170)) <= 14 * 2 ** 20
+
+
+def test_space_time_peak_memory_on_dense_340():
+    """Dense M = 340 (N = 510, 129,795 branch pairs) peaks at most 26 MiB;
+    measured 21.0 MiB.  Listing every pair before scanning the gaps peaked at
+    43.0 MiB: no array of N(N - 1)/2 entries is held.
+    """
+    assert traced_space_time_peak(dense_family_state(340)) <= 26 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40, 59, 85, 170, 236, 254, 340, 1000, 2000, 4000])

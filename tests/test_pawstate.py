@@ -365,9 +365,10 @@ def test_order_study_residuals_are_single_step_residuals_bitwise():
 
 
 def test_schrodinger_residual_rejects_non_positive_steps():
-    """dphi = 0 is refused, not swapped for the default step."""
+    """dphi = 0 is refused, not swapped for the default step, and so is a
+    subnormal dphi, whose central difference overflows."""
     state = spin3_pair_state()
-    for dphi in (0.0, -1e-3):
+    for dphi in (0.0, -1e-3, 1e-310, 5e-324):
         with pytest.raises(ValueError, match="dphi must be positive"):
             schrodinger_residual(state, math.pi / 2.0, 0.7, dphi=dphi)
         with pytest.raises(ValueError, match="dphi must be positive"):

@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 from pawclock.coherent import ln_binomial
 from pawclock.marginals import (
     GridAxis,
-    _BeatPairs,
-    _beat_pairs,
     _closed_form_rows,
     default_time_axis,
     marginal_space_time,
@@ -69,8 +67,9 @@ def test_space_time_amplitude_cut_drops_pairs_like_reference():
 
     assert log_amplitude(0, 1) > -650.0
     assert log_amplitude(0, 2) < -740.0 and log_amplitude(1, 2) < -740.0
-    pairs = _beat_pairs(state)
-    assert list(zip(pairs.first, pairs.second)) == [(0, 1)]
+    # the three gaps are 1, 548 and 549, one pair each: only the first is kept
+    _, _, beats = _closed_form_rows(state, Q_AXIS.values)
+    assert beats.tolist() == [k[0] - k[1]]
     assert_matches_reference(state, Q_AXIS, GridAxis("t", 0.0, 0.05, 5))
 
 
@@ -143,22 +142,31 @@ def _oracle_momentum_integral(n1, n2, mass, q):
     (dense_family_state(40), (0, 59), [0.3, 0.6, 1.0, 1.5, 2.0, 2.5]),
 ], ids=["adjacent-253-254", "far-85-170", "dense-40-far-0-59"])
 def test_kernel_momentum_integrals_match_mpmath(state, pair, q_values):
-    """The kernel's C_ij(Q) for one Fock pair, read off a beat row with
-    coefficient 1, against the oracle: within 1e-12 of the largest |C| and
-    within 1e-11 of |C| itself at every Q.  C of the far pair (85, 170) runs
-    from 1e-6 down to 1e-80 (measured at most 3.9e-12 relative, at Q = 1.0;
-    a 400-node momentum quadrature was off by 2.0e-4 at Q = 1.5), and that of
-    the pair (0, 59) of the dense M = 40 state from 6e-11 down to 7e-38.
+    """The kernel's C_ij(Q) for one Fock pair against the oracle: within 1e-12
+    of the largest |C| and within 1e-11 of |C| itself at every Q.  It is read
+    off the one beat row of the two-branch state of that pair, divided by the
+    pair's coefficient 2|c_i||c_j| A_ij, taken in mpmath.  C of the far pair
+    (85, 170) runs from 1e-6 down to 1e-80 (measured at most 3.9e-12
+    relative, at Q = 1.0; a 400-node momentum quadrature was off by 2.0e-4 at
+    Q = 1.5), and that of the pair (0, 59) of the dense M = 40 state from
+    6e-11 down to 7e-38.
     """
     i, j = pair
     n1, n2 = state.n_values[i], state.n_values[j]
-    pairs = _BeatPairs(first=np.array([i]), second=np.array([j]),
-                       coefficient=np.array([1.0 + 0.0j]), beat_of=np.array([0]),
-                       beats=np.array([state.support[i] - state.support[j]]))
+    k1, k2, two_j = state.support[i], state.support[j], state.two_j
+    two_branch = assemble_state(two_j=two_j, mass=state.mass,
+                                eps_over_omega=state.ratios.kappa_r,
+                                coefficients={k1: 1.0, k2: 1.0})
+    moduli = np.abs(two_branch.amplitudes)
+    overlap = (mpmath.sqrt(mpmath.binomial(two_j, k1) * mpmath.binomial(two_j, k2))
+               / mpmath.binomial(two_j, mpmath.mpf(k1 + k2) / 2))
+    coefficient = 2.0 * moduli[0] * moduli[1] * float(overlap)
     q = np.array(q_values)
     expected = np.array([_oracle_momentum_integral(n1, n2, state.mass, x) for x in q])
     scale = float(np.max(np.abs(expected)))
-    closed = _closed_form_rows(state, q, pairs)[1][:, 0]
-    assert np.all(closed.imag == 0.0)
-    assert np.max(np.abs(closed.real - expected)) <= 1e-12 * scale
-    assert np.all(np.abs(closed.real - expected) <= 1e-11 * np.abs(expected))
+    _, beat, beats = _closed_form_rows(two_branch, q)
+    assert beats.tolist() == [k1 - k2]
+    assert np.all(beat[1] == 0.0)
+    closed = beat[0, :, 0] / coefficient
+    assert np.max(np.abs(closed - expected)) <= 1e-12 * scale
+    assert np.all(np.abs(closed - expected) <= 1e-11 * np.abs(expected))
