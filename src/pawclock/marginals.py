@@ -17,14 +17,13 @@ integrals are taken as below.
 
 The phase-space density depends on (Q, P) only through u = M(Q^2 + P^2)/2
 and is computed on the grid of distinct squares of each axis, then gathered
-back.  A dense Fock ladder takes the Poisson convolution
+back; an axis from -s to s mirrors bit for bit, so Q and -Q share one square.
+A dense Fock ladder takes the Poisson convolution
 pmf(n; u_Q + u_P) = sum_k pmf(n - k; u_Q) pmf(k; u_P): two Poisson tables and
-two matrix products, with the last bits of a per-cell sweep moved and about
-twice as many distinct values for a CSV to format.  It is taken when its
-multiply-adds cost less than the per-u loop and the ladder has at most 4
-levels per branch.  Every other state evaluates each branch once per distinct
-u, found by a sort of the grid of squares, never of the full grid; that result
-has the bits of a per-cell sweep.
+two matrix products, with the last bits of a per-cell sweep moved.  It is
+taken when its multiply-adds cost less than the per-u loop.  Every other state
+evaluates each branch once per distinct u, found by a sort of the grid of
+squares, never of the full grid; that result has the bits of a per-cell sweep.
 
 The space-time marginal needs, per Q, every momentum integral
 C_ij(Q) = int dP <n_i|z><z|n_j> with z = sqrt(M/2)(Q + iP).  The Husimi
@@ -87,14 +86,6 @@ _INNER = 128
 # loop's fixed cost (the sort, the logs and the gather, about 70 ms) is left
 # out, so the rule errs toward the loop.
 _TERM_MACS = 16
-# The convolution also needs K <= _LEVELS_PER_BRANCH N, for the CSV writer:
-# the loop's grid, a bitwise function of U, has about half the distinct values
-# to format.  On the default axes (one BLAS thread, two runs) the CSV from the
-# convolution took 109-183 ms longer for dense M = 40 and 60-71 ms for dense
-# M = 170 with every 4th level kept, against 93-127 and 83-126 ms of compute
-# saved; with every 16th level kept 107-209 ms longer for 55-104 ms, and on
-# the marg-pq default (K = 171, N = 2) 265-292 ms longer for 40-43 ms.
-_LEVELS_PER_BRANCH = 4
 
 
 def _worker_count() -> int:
@@ -121,18 +112,19 @@ class GridAxis:
         if self.count < 2:
             raise ConfigError(f"axis {self.name} needs at least two samples, "
                               f"got {self.count}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)
-                and self.stop > self.start):
-            raise ConfigError(f"axis {self.name} needs finite start < stop, got "
-                              f"{self.start} and {self.stop}")
+        # a finite width needs finite ends, and keeps x - x[::-1] of values finite
+        if not (math.isfinite(float(self.stop) - float(self.start)) and self.stop > self.start):
+            raise ConfigError(f"axis {self.name} needs start < stop a finite width apart, "
+                              f"got {self.start} and {self.stop}")
 
     @cached_property
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
-
-    @property
-    def spacing(self) -> float:
-        return (self.stop - self.start) / (self.count - 1)
+        """The linspace x, or its part (x - x[::-1])/2 when start = -stop: the same
+        ends, within 2 ulp of stop, and Q and -Q sampled bit for bit alike."""
+        x = np.linspace(self.start, self.stop, self.count)
+        if self.start == -self.stop:
+            x = 0.5 * (x - x[::-1])
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,11 +232,11 @@ def marginal_phase_space(state: PawState, q_axis: GridAxis | None = None,
     Poisson ridges, one per occupied branch, peaking at radius sqrt(2n/M).
 
     The density is computed on the grid of the distinct squares of each axis
-    (801 points give 668 on the default axes) and gathered back.  A dense
+    (801 points give 401 on the default axes) and gathered back.  A dense
     Fock ladder takes the Poisson convolution of ``_poisson_convolution``,
     whose last bits differ from a per-cell sweep, when ``_takes_convolution``
     finds it cheaper.  Every other state evaluates each branch once per
-    distinct U of that grid (146,417 of the 641,601 cells on the default
+    distinct U of that grid (68,341 of the 641,601 cells on the default
     axes), formed in the same operations as on the full grid, so every cell
     holds the bits of a per-cell sweep.
     """
@@ -277,10 +269,10 @@ def marginal_phase_space(state: PawState, q_axis: GridAxis | None = None,
 
 def _takes_convolution(state: PawState, p_squares: int) -> bool:
     """Whether ``marginal_phase_space`` takes the Poisson convolution on a grid
-    of ``p_squares`` distinct P^2: see ``_TERM_MACS`` and ``_LEVELS_PER_BRANCH``."""
+    of ``p_squares`` distinct P^2: when it costs fewer multiply-adds than the
+    loop, see ``_TERM_MACS``."""
     levels, branches = max(state.n_values) + 1, len(state.n_values)
-    return (levels <= _LEVELS_PER_BRANCH * branches
-            and levels * (levels + p_squares) <= _TERM_MACS * branches * p_squares)
+    return levels * (levels + p_squares) <= _TERM_MACS * branches * p_squares
 
 
 def _poisson_convolution(state: PawState, q2: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -489,6 +481,17 @@ def _binomial_weights(n_values) -> np.ndarray:
     return np.where(inside, np.exp(log_g), 0.0)
 
 
+def _branch_rows(state: PawState, q_values: np.ndarray):
+    """psi_a(y) for a = 0..n_max at y = sqrt(M/2) Q, the weights g of
+    ``_binomial_weights`` and the branch rows C_ii (rows x N) of ``_closed_form_rows``."""
+    n = np.array(state.n_values)
+    g = _binomial_weights(n)
+    psi = _hermite_table(int(n[-1]), math.sqrt(0.5 * state.mass) * q_values)
+    branch = _product((psi * psi).T, (g * g).T)
+    branch *= math.pi * math.sqrt(2.0 / state.mass)
+    return psi, g, branch
+
+
 def _closed_form_rows(state: PawState, q_values: np.ndarray):
     """Momentum-integrated branch products per Q row by a finite sum.
 
@@ -522,6 +525,7 @@ def _closed_form_rows(state: PawState, q_values: np.ndarray):
     2|c_i||c_j| A_ij e^{-i(gamma_i - gamma_j)} C_ij over its kept pairs; and
     the beats k_i - k_j, largest gap first.
     """
+    psi, g, branch = _branch_rows(state, q_values)
     n, k = np.array(state.n_values), np.array(state.support)
     moduli, gammas = np.abs(state.amplitudes), np.angle(state.amplitudes)
     k_step = int(np.gcd.reduce(k - k[0]))
@@ -531,11 +535,6 @@ def _closed_form_rows(state: PawState, q_values: np.ndarray):
     ln_mid = ln_binomial(state.two_j, k[0] + 0.5 * k_step * np.arange(2 * rung[-1] + 1))
     branch_of = np.full(2 * rung[-1] + 1, -1)  # rungs above the top hold no branch
     branch_of[rung] = np.arange(n.size)
-    g = _binomial_weights(n)
-    psi = _hermite_table(int(n[-1]), math.sqrt(0.5 * state.mass) * q_values)
-    scale = math.pi * math.sqrt(2.0 / state.mass)
-    branch = _product((psi * psi).T, (g * g).T)
-    branch *= scale
     parts, beats = [], []
     for apart in range(rung[-1], 0, -1):  # pairs this many rungs apart, largest gap first
         partner = branch_of[rung + apart]
@@ -560,15 +559,15 @@ def _closed_form_rows(state: PawState, q_values: np.ndarray):
         beats.append(k[low[0]] - k[high[0]])
     beat = (np.stack([part.T for part in parts], axis=-1) if parts
             else np.zeros((2, q_values.size, 0)))
-    beat *= scale
+    beat *= math.pi * math.sqrt(2.0 / state.mass)
     return branch, beat, np.array(beats, dtype=int)
 
 
 def space_time_diagonal(state: PawState, q_values) -> np.ndarray:
     """Static part of the space-time marginal along Q (cross terms excluded):
-    the branch rows of ``_closed_form_rows`` weighted by |c_m|^2."""
+    the branch rows of ``_branch_rows`` weighted by |c_m|^2."""
     q_values = np.asarray(q_values, dtype=float)
-    branch, _, _ = _closed_form_rows(state, q_values)
+    _, _, branch = _branch_rows(state, q_values)
     prefactor = state.clock.epsilon / (2.0 * math.pi)
     plane_norm = state.mass / (2.0 * math.pi)
     return prefactor * plane_norm * _product(branch, np.abs(state.amplitudes) ** 2)

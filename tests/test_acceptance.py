@@ -275,7 +275,7 @@ def test_acceptance_07_phase_space_ridges():
     grid cell and the distribution carries unit mass."""
     grid = marginal_phase_space(balanced_two_level_state(170))
     q = grid.axes[0].values
-    cell = grid.axes[0].spacing
+    cell = q[1] - q[0]
     row = grid.values[:, 400]  # the P = 0 section
     peaks = [q[i] for i in range(1, len(row) - 1)
              if row[i] > row[i - 1] and row[i] >= row[i + 1] and q[i] > 0.2]
@@ -331,7 +331,7 @@ def test_acceptance_09_space_time_classical_shape():
     beyond sqrt(2) + 0.15, and interference dies monotonically with size."""
     grid, _ = marginal_space_time(balanced_two_level_state(170))
     q = grid.axes[0].values
-    dq = grid.axes[0].spacing
+    dq = q[1] - q[0]
     section = grid.values[:, 0]
 
     reference = np.zeros_like(q)

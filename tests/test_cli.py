@@ -308,6 +308,22 @@ def test_counts_and_axes_are_validated(tmp_path):
     assert len(rows) == 2 and rows[1].startswith("0,"), rows
 
 
+@pytest.mark.parametrize("axis, argv", [
+    ("Q", ["figure", "marg-pq", "--m", "4", "--grid", "q_start=-1e308",
+           "--grid", "q_stop=1e308", "--grid", "q_count=5"]),
+    ("e", ["figure", "marg-et", "--grid", "e_start=-1e308", "--grid", "e_stop=1e308"]),
+], ids=["marg-pq", "marg-et"])
+def test_axis_wider_than_a_float_exits_two(axis, argv, tmp_path):
+    """An axis whose width stop - start overflows is refused before any
+    sample is taken: exit 2, one error line and nothing else on stderr, no
+    file."""
+    result = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert result.returncode == 2, (result.stdout, result.stderr)
+    assert result.stderr.splitlines() == [
+        f"error: axis {axis} needs start < stop a finite width apart, got -1e+308 and 1e+308"]
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("command", [
     ["build"], ["chi2"], ["conditional", "--theta", "1"], ["schrodinger"],
     ["beta", "--theta", "1"], ["figure", "marg-pq"], ["orbits"], ["verify"]])

@@ -412,9 +412,7 @@ UNCALLED_EXPORTS = {
 }
 
 # Public methods and properties of exported classes that no program code reads.
-UNCALLED_MEMBERS = {
-    "GridAxis.spacing",  # the sampling step of a grid a marginal returns
-}
+UNCALLED_MEMBERS: set[str] = set()
 
 
 def _names_read(tree, skip: str, modules=(), bare=True) -> set[str]:

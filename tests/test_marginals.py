@@ -68,9 +68,37 @@ def test_grid_axis_values_and_spacing():
     axis = GridAxis("Q", -2.5, 2.5, 801)
     assert axis.values.shape == (801,)
     assert axis.values[0] == -2.5 and axis.values[-1] == 2.5
-    assert axis.spacing == pytest.approx(5.0 / 800.0)
+    assert np.diff(axis.values) == pytest.approx(np.full(800, 5.0 / 800.0))
     with pytest.raises(ValueError):
         GridAxis("Q", 0.0, 1.0, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stop=st.floats(1e-300, sys.float_info.max / 2), count=st.integers(2, 3000))
+@example(stop=2.5, count=801)  # the default phase-space axes
+@example(stop=sys.float_info.max / 2, count=801)  # the widest axis a float holds
+def test_symmetric_axis_mirrors_bit_for_bit(stop, count):
+    """An axis from -s to s equals its negated reverse (== takes the centre,
+    +0.0, as equal to -0.0), ends at -s and s exactly and stays within
+    2 ulp(s) of np.linspace.  The draws keep the step 2s/(count - 1) a
+    normal float: with a subnormal step linspace itself misses the exact
+    nodes (by 1,361 ulp(s) at s = 7.5e-309 and 2,835 samples, the axis by
+    681), and the two differ by more than 2 ulp(s)."""
+    values = GridAxis("Q", -stop, stop, count).values
+    assert np.all(values == -values[::-1])
+    assert values[0] == -stop and values[-1] == stop
+    assert np.all(np.abs(values - np.linspace(-stop, stop, count)) <= 2 * np.spacing(stop))
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (0.0, 1.6, 2001),  # the default energy axis of a clock with 2 kappa >= 1.6
+    (0.0, 2.0 * math.pi / 170, 256),  # the default time axis at M omega = 170
+    (-2.5, 2.4, 801),
+    (-1.3, 2.5, 333),
+])
+def test_asymmetric_axis_keeps_the_linspace_bits(start, stop, count):
+    assert (GridAxis("x", start, stop, count).values.tobytes()
+            == np.linspace(start, stop, count).tobytes())
 
 
 def test_distribution_grid_validation_and_mass():
@@ -155,8 +183,8 @@ def test_marginal_phase_space_ridge_positions():
     peaks = [q[i] for i in range(1, len(row) - 1)
              if row[i] > row[i - 1] and row[i] >= row[i + 1] and q[i] > 0.2]
     assert len(peaks) == 2
-    assert abs(peaks[0] - 1.0) <= grid.axes[0].spacing
-    assert abs(peaks[1] - math.sqrt(2.0)) <= grid.axes[0].spacing
+    assert abs(peaks[0] - 1.0) <= q[1] - q[0]
+    assert abs(peaks[1] - math.sqrt(2.0)) <= q[1] - q[0]
 
 
 @st.composite
@@ -267,7 +295,7 @@ def test_phase_space_convolution_matches_per_cell_sweep(state, q_axis, p_axis):
 def test_phase_space_convolution_on_the_default_axes(mass):
     """Dense M = 10, 20, 40 and 170 take the convolution and agree with the
     per-cell sweep to 1e-12 of the grid maximum, and to 1e-12 relative on
-    every cell above 1e-140 (measured: 1.7e-14, 5.2e-14, 9.3e-14 and 5.0e-13
+    every cell above 1e-140 (measured: 1.5e-14, 4.7e-14, 9.3e-14 and 4.7e-13
     relative)."""
     state = dense_family_state(mass)
     assert route_of(state) == "convolution"
@@ -290,22 +318,26 @@ def equal_weight_state(two_j, kappa_r):
     (dense_family_state(2), None, "convolution"),  # K = N = 3
     (dense_family_state(10), None, "convolution"),  # K = N = 15
     (dense_family_state(170), None, "convolution"),  # K = N = 255
-    (balanced_two_level_state(6), None, "convolution"),  # K = 7 <= 4N = 8
-    (balanced_two_level_state(8), None, "loop"),  # K = 9 > 4N = 8
-    (balanced_two_level_state(170), None, "loop"),  # the marg-pq default
-    # K = 13,499 <= 4N = 18,000, but its fold costs K (K + P) = 1.9e8
-    # multiply-adds per Q against 16 N P = 4.8e7
+    # P = 401 distinct squares: K (K + P) = 2,856 and 3,690 <= 16 N P = 12,832
+    (balanced_two_level_state(6), None, "convolution"),
+    (balanced_two_level_state(8), None, "convolution"),
+    # the marg-pq default: K (K + P) = 97,812 > 12,832
+    (balanced_two_level_state(170), None, "loop"),
+    # N = 30, K = 148: K (K + P) = 81,252 <= 192,480
+    (equal_weight_state(60, "5/2"), None, "convolution"),
+    # K = 13,499, N = 4,500: its fold costs K (K + P) = 1.9e8 multiply-adds
+    # per Q against 16 N P = 2.9e7
     (equal_weight_state(9000, "3/2"), None, "loop"),
     # one distinct P^2: K (K + 1) = 240 <= 16 N = 240 at dense M = 10,
     # 930 > 480 at dense M = 20
     (dense_family_state(10), GridAxis("P", -1.0, 1.0, 2), "convolution"),
     (dense_family_state(20), GridAxis("P", -1.0, 1.0, 2), "loop"),
 ], ids=["dense2", "dense10", "dense170", "balanced6", "balanced8", "marg-pq",
-        "two-j-9000", "dense10-one-square", "dense20-one-square"])
+        "two-j-60-five-halves", "two-j-9000", "dense10-one-square", "dense20-one-square"])
 def test_phase_space_routes_by_cost_and_ladder_density(state, axes, route):
     """The convolution takes a ladder of K = n_max + 1 levels and N branches
-    when K <= 4N and its multiply-adds, Q K (K + P), are at most 16 N Q P;
-    every other state takes the loop."""
+    on a grid of Q x P distinct squares when its multiply-adds,
+    Q K (K + P), are at most 16 N Q P; every other state takes the loop."""
     q_axis = default_phase_space_axes()[0]
     assert route_of(state, q_axis, axes or default_phase_space_axes()[1]) == route
 
@@ -356,7 +388,7 @@ def test_phase_space_is_symmetric_on_equal_axes(state, route, axis):
 
 def test_phase_space_evaluates_each_branch_once_per_distinct_radius(monkeypatch):
     """The marg-pq default (balanced M = 170) on the default axes: 2 kernel
-    calls of 144,922 radii each, not of the 641,601 cells, all reading one
+    calls of 68,341 radii each, not of the 641,601 cells, all reading one
     libm log of those radii."""
     state = balanced_two_level_state(170)
     kernel, libm_log = marginals._log_fock_density, marginals._libm_log
@@ -376,9 +408,9 @@ def test_phase_space_evaluates_each_branch_once_per_distinct_radius(monkeypatch)
     marginal_phase_space(state)
     q_axis, p_axis = default_phase_space_axes()
     u = 0.5 * state.mass * (q_axis.values[:, None] ** 2 + p_axis.values[None, :] ** 2)
-    assert np.unique(u).size == 144_922
-    assert sizes == [144_922] * len(state.n_values)
-    assert [log_u.size for log_u in logs] == [144_922]
+    assert np.unique(u).size == 68_341
+    assert sizes == [68_341] * len(state.n_values)
+    assert [log_u.size for log_u in logs] == [68_341]
 
 
 def test_phase_space_peak_memory_stays_below_four_grids():
@@ -510,7 +542,7 @@ def test_marginals_are_non_negative_with_unit_mass(state):
     x_stop = min(energy.axes[0].stop / (2.0 * float(state.ratios.kappa)), 1.0)
     inside = np.sum(weights * betainc(k + 1.0, state.two_j - k + 1.0, x_stop))
     axis = energy.axes[0]
-    trapezoid_error = axis.spacing ** 2 / 12.0 * (
+    trapezoid_error = ((axis.stop - axis.start) / (axis.count - 1)) ** 2 / 12.0 * (
         _energy_density_slope(state, axis.stop) - _energy_density_slope(state, 0.0))
     assert energy.mass() == pytest.approx(inside + trapezoid_error, abs=1e-5)
 
@@ -683,6 +715,27 @@ def test_space_time_diagonal_matches_phase_space_projection():
         direct[i] = simpson(total, x=p) * 10 / (2.0 * math.pi)
     direct *= state.clock.epsilon / (2.0 * math.pi)
     assert np.allclose(diag, direct, rtol=1e-9)
+
+
+def test_space_time_diagonal_builds_no_beats(monkeypatch):
+    """space_time_diagonal takes two products, the branch rows and their
+    weighting, and none of the two per Fock gap of the beats (dense M = 40
+    has 59 gaps), bit for bit the diagonal of the full kernel."""
+    state = dense_family_state(40)
+    q_values = np.linspace(-2.5, 2.5, 801)
+    branch, _, _ = marginals._closed_form_rows(state, q_values)
+    calls = []
+
+    def counting_product(a, b):
+        calls.append((a.shape, b.shape))
+        return _product(a, b)
+
+    monkeypatch.setattr(marginals, "_product", counting_product)
+    diagonal = space_time_diagonal(state, q_values)
+    assert len(calls) == 2
+    prefactor, plane_norm = state.clock.epsilon / (2.0 * math.pi), state.mass / (2.0 * math.pi)
+    expected = prefactor * plane_norm * _product(branch, np.abs(state.amplitudes) ** 2)
+    assert diagonal.tobytes() == expected.tobytes()
 
 
 def test_marginal_space_time_report_and_positivity():
