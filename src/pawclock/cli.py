@@ -12,10 +12,10 @@ figure       reproduce a named data set (CSV plus a JSON sidecar)
 orbits       sample the classical orbit family onto a CSV table
 verify       run the internal consistency checks and emit a JSON report
 
-verify reports the chi^2 and |beta|^2 normalizations as sum |c_m|^2, which
-the resolutions of identity on the clock sphere and the oscillator plane make
-their exact integrals, and checks the emergent Schroedinger equation by the
-exact constraint it reads branch by branch: no quadrature, step or phi, O(N + 2J).
+verify makes two exact checks, in integers: the stationarity constraint,
+which is the emergent Schroedinger equation read branch by branch, and the
+pair family against a direct search.  It takes no quadrature, step, theta or
+phi, and costs O(N + 2J).
 
 Exit codes: 0 success, 1 runtime failure (failed verification, no memory),
 2 malformed arguments or config, 3 unknown figure name, 4 state that is not
@@ -57,7 +57,6 @@ from .marginals import (
     marginal_space_time,
 )
 from .pawstate import (
-    DegenerateTheta,
     NotAdmissible,
     PawState,
     UnsupportedIndex,
@@ -235,12 +234,23 @@ def _out_dir(args: argparse.Namespace, config: ScenarioConfig) -> Path:
     return path
 
 
+def _given(args: argparse.Namespace, *names: str) -> list[str]:
+    """The state flags among ``names`` (their dests) given on the command line."""
+    return [f"--{name.replace('_', '-')}" for name in names if getattr(args, name, None)]
+
+
 def _resolve_state(args: argparse.Namespace, config: ScenarioConfig,
-                   fallback=spin3_pair_state) -> PawState:
-    """State precedence: explicit flags, then config file, then the fallback."""
-    two_j = getattr(args, "two_j", None)
-    if two_j is not None:
+                   family=None) -> PawState:
+    """State precedence: explicit flags, then config file, then the fallback:
+    ``family(M)`` at --m (default 170), or without ``family`` the J = 3 example.
+    A state flag that the chosen state does not read is refused."""
+    if getattr(args, "two_j", None) is not None:
         return _state_from_flags(args)
+    stray = _given(args, "epsilon_over_omega", "kappa_r", "coeff")
+    if family is None or config.state is not None:  # no fallback reads M
+        stray = _given(args, "m") + stray
+    if stray:
+        raise ConfigError(f"{', '.join(stray)} requires --two-j")
     if config.state is not None:
         try:
             return state_from_dict(config.state)
@@ -248,12 +258,7 @@ def _resolve_state(args: argparse.Namespace, config: ScenarioConfig,
             raise
         except ValueError as exc:
             raise ConfigError(f"malformed 'state' in config: {exc}") from exc
-    stray = [flag for flag, attr in (("--epsilon-over-omega", "epsilon_over_omega"),
-                                     ("--kappa-r", "kappa_r"), ("--coeff", "coeff"))
-             if getattr(args, attr, None)]
-    if stray:
-        raise ConfigError(f"{', '.join(stray)} requires --two-j")
-    return fallback()
+    return family(args.m or 170) if family else spin3_pair_state()
 
 
 def _state_from_flags(args: argparse.Namespace) -> PawState:
@@ -358,8 +363,7 @@ def _write_chi2(args, config, path: Path) -> tuple[PawState, list[str], int]:
 
 def _write_orbits(args, config, path: Path) -> tuple[PawState, int]:
     """Sample the orbit family of the state (dense M = 170 by default) into path."""
-    state = _resolve_state(args, config,
-                           fallback=lambda: dense_family_state(args.m or 170))
+    state = _resolve_state(args, config, family=dense_family_state)
     samples = config.grids.get("samples", 256)
     write_orbit_csv(orbit_table(state, samples=samples), path)
     print(f"wrote {path}")
@@ -460,40 +464,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"tamper_shift_n = {config.tamper_shift_n}: {exc}") from exc
 
-    checks = []
-
     residual = paw_constraint_residual(state)
-    checks.append(_check(
-        "constraint_residual_zero", residual, 0.0,
-        f"max |kappa*r*(m+J) - (n+1/2)|*omega = {residual:.6g}: branch m+J turns as "
-        f"exp(-i(m+J)phi), so i*eps*d/dphi psi = H psi reads eps*(m+J) = omega*(n+1/2)"))
-
     kr = state.ratios.kappa_r
     n_max = -(-kr.numerator * state.two_j // kr.denominator) + 1  # ceil(kr*2J) + 1
     brute = brute_force_pairs(kr, state.two_j, n_max)
     enumerated = state.family.pairs
     mismatched = (sum(a != b for a, b in zip(brute, enumerated))
                   + abs(len(brute) - len(enumerated)))
-    checks.append(_check(
-        "pair_enumeration_matches_search", mismatched, 0,
-        f"{len(enumerated)} pair(s) from the closed form, "
-        f"{len(brute)} from direct search"))
-
-    # chi^2 and |beta|^2 both integrate to sum |c_m|^2 exactly (chi_squared_integral)
-    total = chi_squared_integral(state)
-    checks.append(_check(
-        "chi_squared_normalized", abs(total - 1.0), 1e-8,
-        f"sum |c_m|^2 = {total:.15f}, the integral of chi^2 by the resolution "
-        f"of identity on the sphere, and of |beta|^2 by those on the sphere "
-        f"and the plane"))
-
-    try:  # phi only turns the branch phases, so the norm is taken at phi = 0
-        norm = conditional_state(state, args.theta, 0.0).norm()
-        deviation, detail = abs(norm - 1.0), f"norm at theta={args.theta:.4f} is {norm:.15f}"
-    except DegenerateTheta as exc:  # no state to normalize: its norm counts as 0
-        deviation, detail = 1.0, f"conditional state undefined: {exc}"
-    checks.append(_check("conditional_norm_unit", deviation, 1e-12, detail))
-
+    checks = [
+        _check("constraint_residual_zero", residual, 0.0,
+               f"max |kappa*r*(m+J) - (n+1/2)|*omega = {residual:.6g}: branch m+J turns "
+               f"as exp(-i(m+J)phi), so i*eps*d/dphi psi = H psi reads "
+               f"eps*(m+J) = omega*(n+1/2)"),
+        _check("pair_enumeration_matches_search", mismatched, 0,
+               f"{len(enumerated)} pair(s) from the closed form, "
+               f"{len(brute)} from direct search"),
+    ]
     all_passed = all(check["passed"] for check in checks)
     report = {"checks": checks, "all_passed": all_passed,
               "state": _state_summary(state)}
@@ -522,6 +508,12 @@ def _figure_chi2_j3(args, config, out: Path) -> int:
 
 
 def _figure_chi2_largej(args, config, out: Path) -> int:
+    stray = _given(args, "two_j", "m", "epsilon_over_omega", "kappa_r", "coeff")
+    if config.state is not None:
+        stray.append("config 'state'")
+    if stray:
+        raise ConfigError(f"chi2-largeJ builds its states from --j-list alone, "
+                          f"so it reads no {', '.join(stray)}")
     j_list = args.j_list or (30, 120, 570)
     count = config.grids.get("theta_count", 2001)
     thetas = np.linspace(0.0, math.pi, count)
@@ -538,11 +530,6 @@ def _figure_chi2_largej(args, config, out: Path) -> int:
     return 0
 
 
-def _marginal_state(args, config) -> PawState:
-    return _resolve_state(args, config,
-                          fallback=lambda: balanced_two_level_state(args.m or 170))
-
-
 def _write_marginal(out: Path, name: str, state: PawState, grid, extra: dict) -> int:
     """The grid as name.csv, and a sidecar with its state, axes and ``extra``."""
     grid.write_csv(out / f"{name}.csv")
@@ -555,7 +542,7 @@ def _write_marginal(out: Path, name: str, state: PawState, grid, extra: dict) ->
 
 
 def _figure_marg_pq(args, config, out: Path) -> int:
-    state = _marginal_state(args, config)
+    state = _resolve_state(args, config, family=balanced_two_level_state)
     q_default, p_default = default_phase_space_axes()
     q_axis = _grid_axis(config.grids, "q", q_default)
     p_axis = _grid_axis(config.grids, "p", p_default)
@@ -564,14 +551,14 @@ def _figure_marg_pq(args, config, out: Path) -> int:
 
 
 def _figure_marg_et(args, config, out: Path) -> int:
-    state = _marginal_state(args, config)
+    state = _resolve_state(args, config, family=balanced_two_level_state)
     e_axis = _grid_axis(config.grids, "e", default_energy_axis(state))
     grid = marginal_energy_time(state, e_axis)
     return _write_marginal(out, "marg-et", state, grid, {"mass": grid.mass()})
 
 
 def _figure_marg_qt(args, config, out: Path) -> int:
-    state = _marginal_state(args, config)
+    state = _resolve_state(args, config, family=balanced_two_level_state)
     q_default, _ = default_phase_space_axes()
     q_axis = _grid_axis(config.grids, "q", q_default)
     t_axis = _grid_axis(config.grids, "t", default_time_axis(state))
@@ -743,7 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="internal consistency checks")
     _add_state_flags(p_verify)
-    p_verify.add_argument("--theta", type=_ANGLE, default=math.pi / 2)
     p_verify.add_argument("--tamper-shift-n", dest="tamper_shift_n", type=int,
                           default=None,
                           help="shift every Fock index by this amount before "

@@ -301,6 +301,14 @@ def hcs_log_magnitude(alpha: complex, mass: int, n):
     Equals n*ln(sqrt(M)|alpha|) - M|alpha|^2/2 - ln(n!)/2; the phase of
     <alpha|n> is -n*arg(alpha).  The log is taken of sqrt(M)|alpha|, which
     stays a normal float where u = M|alpha|^2 underflows (|alpha| < 1e-154).
+    Where u overflows a float, e^{-u/2} underflows every power of |alpha| and
+    each log magnitude is -inf, as at a clock pole.
     """
     root = math.sqrt(mass) * abs(alpha)
-    return xlogy(n, root) - 0.5 * root ** 2 - 0.5 * ln_factorial(n)
+    try:
+        half_u = 0.5 * root ** 2
+    except OverflowError:
+        half_u = math.inf
+    if half_u == math.inf:
+        return np.full(np.shape(n), -math.inf)[()]
+    return xlogy(n, root) - half_u - 0.5 * ln_factorial(n)

@@ -112,10 +112,15 @@ class GridAxis:
         if self.count < 2:
             raise ConfigError(f"axis {self.name} needs at least two samples, "
                               f"got {self.count}")
-        # a finite width needs finite ends, and keeps x - x[::-1] of values finite
+        # a finite width needs finite ends, and keeps x - x[::-1] of values finite;
+        # with a subnormal step linspace misses the exact nodes by up to ~1e3 ulp
         if not (math.isfinite(float(self.stop) - float(self.start)) and self.stop > self.start):
             raise ConfigError(f"axis {self.name} needs start < stop a finite width apart, "
                               f"got {self.start} and {self.stop}")
+        if (float(self.stop) - float(self.start)) / (self.count - 1) < sys.float_info.min:
+            raise ConfigError(f"axis {self.name} needs a step of at least the smallest "
+                              f"normal float, {sys.float_info.min!r}, got {self.start} to "
+                              f"{self.stop} in {self.count} samples")
 
     @cached_property
     def values(self) -> np.ndarray:

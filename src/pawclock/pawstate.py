@@ -310,10 +310,10 @@ def _clock_moduli(state: PawState, theta: float) -> tuple[list[float], float]:
     exponentiated, and the shifted moduli are divided by their own norm, so
     they are normalized to rounding however far chi^2 or single overlaps
     underflow a double; log chi^2, up to ~0.7*2J in size, never enters them.
-    Raises DegenerateTheta only where chi^2 is exactly 0: at theta = 0, since
-    every occupied level has m+J >= 1.  The float nearest pi lies 1.2e-16
-    below it, where chi^2 > 0, so a state with an empty top level there
-    conditions on its highest branch.
+    Raises DegenerateTheta only where chi^2 is exactly 0: where theta/2 rounds
+    to 0, at theta = 0 and 5e-324, since every occupied level has m+J >= 1.
+    The float nearest pi lies 1.2e-16 below it, where chi^2 > 0, so a state
+    with an empty top level there conditions on its highest branch.
     """
     lm = scs_log_magnitude(theta, state.two_j, state.support)
     log_chi2 = float(logsumexp(state._log_weights + 2.0 * lm))

@@ -26,6 +26,7 @@ from pawclock.classical import theta_of_energy
 from pawclock.constraints import enumerate_pairs, reduce_ratio
 from pawclock.marginals import (
     _BLAS_BOUND,
+    ConfigError,
     DistributionGrid,
     EOutOfRange,
     GridAxis,
@@ -88,6 +89,23 @@ def test_symmetric_axis_mirrors_bit_for_bit(stop, count):
     assert np.all(values == -values[::-1])
     assert values[0] == -stop and values[-1] == stop
     assert np.all(np.abs(values - np.linspace(-stop, stop, count)) <= 2 * np.spacing(stop))
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (-1e-320, 1e-320, 3),
+    (-7.485e-309, 7.485e-309, 2835),  # linspace 1,361 ulp(s) off the exact nodes
+    (0.0, 2.0 * sys.float_info.min, 4),
+])
+def test_axis_with_a_subnormal_step_is_refused(start, stop, count):
+    """A step (stop - start)/(count - 1) below the smallest normal float is refused."""
+    with pytest.raises(ConfigError, match="smallest normal float"):
+        GridAxis("Q", start, stop, count)
+
+
+def test_axis_with_the_smallest_normal_step_is_kept():
+    step = sys.float_info.min
+    values = GridAxis("Q", -step, step, 3).values
+    assert values.tolist() == [-step, 0.0, step]
 
 
 @pytest.mark.parametrize("start, stop, count", [

@@ -250,11 +250,14 @@ def test_conditional_state_normalized_everywhere():
 
 
 def test_conditional_state_degenerate_at_origin():
-    """chi^2 is exactly 0 only at theta = 0; where it underflows a double the
-    conditional state is still normalized."""
+    """chi^2 is exactly 0 only where theta/2 rounds to 0, at theta = 0 and
+    5e-324; where it underflows a double the conditional state is still
+    normalized, from the next float 1e-323 on."""
     for state in (spin3_pair_state(), balanced_two_level_state(170)):
-        with pytest.raises(DegenerateTheta):
-            conditional_state(state, 0.0, 0.0)
+        for theta in (0.0, 5e-324):
+            with pytest.raises(DegenerateTheta):
+                conditional_state(state, theta, 0.0)
+        assert conditional_state(state, 1e-323, 0.0).norm() == pytest.approx(1.0, abs=1e-12)
     cond = conditional_state(balanced_two_level_state(170), 0.05, 0.0)
     assert cond.norm_chi2 == 0.0
     assert cond.norm() == pytest.approx(1.0, abs=1e-12)
@@ -397,14 +400,16 @@ def test_order_study_evaluates_the_clock_overlaps_once(monkeypatch):
     assert thetas == [1.1]
 
 
-def test_verify_evaluates_the_clock_overlaps_twice_at_its_theta(monkeypatch, capsys):
-    """One verify: the conditional norm check and the order study, once each."""
-    thetas = counting_clock_overlaps(monkeypatch)
-    assert cli.main(["verify", "--two-j", "30", "--m", "10", "--kappa-r", "1/2",
-                     "--theta", "1.3"]) == 0
+def test_verify_evaluates_no_clock_overlap(monkeypatch, capsys):
+    """Both verify checks are exact and in integers: no clock angle is read,
+    so no conditional state and no clock overlap is computed."""
+    calls = []
+    original = pawstate.scs_log_magnitude
+    monkeypatch.setattr(pawstate, "scs_log_magnitude",
+                        lambda *args: calls.append(args) or original(*args))
+    assert cli.main(["verify", "--two-j", "30", "--m", "10", "--kappa-r", "1/2"]) == 0
     assert json.loads(capsys.readouterr().out)["all_passed"] is True
-    assert 1 <= thetas.count(1.3) <= 2
-    assert set(thetas) == {1.3}
+    assert calls == []
 
 
 def test_schrodinger_residual_second_order():
