@@ -7,89 +7,62 @@ their emergent Schroedinger evolution, the classical limit of the clock and
 oscillator, and the quasi-probability marginals that exhibit the two-ridge
 interference pattern.
 
-The names imported below are the public API, each named once.
+The names of ``_EXPORTS`` are the public API, each named once.  Each is
+imported from its module on first use, so ``import pawclock`` loads no numpy
+and ``python -m pawclock`` can set up the BLAS before numpy starts.
 """
 
-from .classical import (
-    ClassicalConfig,
-    EnergyTimeCoordinate,
-    OrbitParams,
-    SurvivingLevel,
-    beta_amplitude,
-    classical_orbit,
-    energy_of_theta,
-    energy_time_coordinate,
-    hamilton_residual,
-    orbit_table,
-    stationary_residual,
-    surviving_configurations,
-    theta_of_energy,
-    write_orbit_csv,
-)
-from .coherent import (
-    LogAmplitude,
-    SphereCoordinate,
-    hcs_log_magnitude,
-    ln_binomial,
-    ln_factorial,
-    scs_log_magnitude,
-)
-from .constraints import (
-    ClockSpec,
-    CouplingRatios,
-    NoOddOverEvenForm,
-    OscillatorSpec,
-    PairFamily,
-    ReducedRatio,
-    brute_force_pairs,
-    enumerate_pairs,
-    reduce_ratio,
-)
-from .marginals import (
-    DistributionGrid,
-    EOutOfRange,
-    GridAxis,
-    InterferenceReport,
-    classical_limit_section,
-    clock_interference_factor,
-    default_energy_axis,
-    default_phase_space_axes,
-    default_time_axis,
-    energy_time_density,
-    interference_suppression,
-    marginal_energy_time,
-    marginal_phase_space,
-    marginal_space_time,
-    oscillator_interference_factor,
-    space_time_diagonal,
-)
-from .pawstate import (
-    ConditionalState,
-    DegenerateTheta,
-    NotAdmissible,
-    OrderStudy,
-    PawState,
-    UnsupportedIndex,
-    ZeroState,
-    assemble_state,
-    balanced_two_level_state,
-    build_state,
-    chi_squared,
-    chi_squared_integral,
-    chi_squared_terms,
-    conditional_state,
-    default_dphi,
-    dense_family_state,
-    large_j_pair_state,
-    log_chi_squared,
-    paw_constraint_residual,
-    schrodinger_order_study,
-    schrodinger_residual,
-    shift_fock_levels,
-    spin3_pair_state,
-    state_from_dict,
-    state_to_dict,
-)
-from .table import write_table
+import importlib
 
 __version__ = "0.1.0"
+
+# Module -> the public names it exports.
+_EXPORTS = {
+    "classical": (
+        "ClassicalConfig", "EnergyTimeCoordinate", "OrbitParams", "SurvivingLevel",
+        "beta_amplitude", "classical_orbit", "energy_of_theta",
+        "energy_time_coordinate", "hamilton_residual", "orbit_table",
+        "stationary_residual", "surviving_configurations", "theta_of_energy",
+        "write_orbit_csv",
+    ),
+    "coherent": (
+        "LogAmplitude", "SphereCoordinate", "hcs_log_magnitude", "ln_binomial",
+        "ln_factorial", "scs_log_magnitude",
+    ),
+    "constraints": (
+        "ClockSpec", "CouplingRatios", "NoOddOverEvenForm", "OscillatorSpec",
+        "PairFamily", "ReducedRatio", "brute_force_pairs", "enumerate_pairs",
+        "reduce_ratio",
+    ),
+    "marginals": (
+        "DistributionGrid", "EOutOfRange", "GridAxis", "InterferenceReport",
+        "classical_limit_section", "clock_interference_factor", "default_energy_axis",
+        "default_phase_space_axes", "default_time_axis", "energy_time_density",
+        "interference_suppression", "marginal_energy_time", "marginal_phase_space",
+        "marginal_space_time", "oscillator_interference_factor", "space_time_diagonal",
+    ),
+    "pawstate": (
+        "ConditionalState", "DegenerateTheta", "NotAdmissible", "OrderStudy",
+        "PawState", "UnsupportedIndex", "ZeroState", "assemble_state",
+        "balanced_two_level_state", "build_state", "chi_squared",
+        "chi_squared_integral", "chi_squared_terms", "conditional_state",
+        "default_dphi", "dense_family_state", "large_j_pair_state", "log_chi_squared",
+        "paw_constraint_residual", "schrodinger_order_study", "schrodinger_residual",
+        "shift_fock_levels", "spin3_pair_state", "state_from_dict", "state_to_dict",
+    ),
+    "table": ("write_table",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """The exported ``name``, read from its module, which is imported on first use."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

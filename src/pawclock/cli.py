@@ -258,7 +258,12 @@ def _resolve_state(args: argparse.Namespace, config: ScenarioConfig,
             raise
         except ValueError as exc:
             raise ConfigError(f"malformed 'state' in config: {exc}") from exc
-    return family(args.m or 170) if family else spin3_pair_state()
+    if family is None:
+        return spin3_pair_state()
+    try:
+        return family(args.m or 170)
+    except ValueError as exc:  # an M the family does not take, as an odd one for marg-*
+        raise ConfigError(f"--m {args.m}: {exc}") from exc
 
 
 def _state_from_flags(args: argparse.Namespace) -> PawState:

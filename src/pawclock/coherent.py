@@ -302,7 +302,10 @@ def hcs_log_magnitude(alpha: complex, mass: int, n):
     <alpha|n> is -n*arg(alpha).  The log is taken of sqrt(M)|alpha|, which
     stays a normal float where u = M|alpha|^2 underflows (|alpha| < 1e-154).
     Where u overflows a float, e^{-u/2} underflows every power of |alpha| and
-    each log magnitude is -inf, as at a clock pole.
+    each log magnitude is -inf, as at a clock pole.  Where ln(n!) overflows
+    (n > 2.5e305) it is Stirling's n ln n - n, taken with n ln(sqrt(M)|alpha|)
+    as n (ln(sqrt(M)|alpha|) + 1/2 - ln(n)/2): the terms dropped are below
+    the rounding of that product.
     """
     root = math.sqrt(mass) * abs(alpha)
     try:
@@ -311,4 +314,12 @@ def hcs_log_magnitude(alpha: complex, mass: int, n):
         half_u = math.inf
     if half_u == math.inf:
         return np.full(np.shape(n), -math.inf)[()]
-    return xlogy(n, root) - half_u - 0.5 * ln_factorial(n)
+    n = np.asarray(n, dtype=float)
+    ln_fact = ln_factorial(n)
+    huge = ln_fact == math.inf
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf where huge
+        out = xlogy(n, root) - half_u - 0.5 * ln_fact
+        if huge.any():
+            stirling = n * (_libm_log(root) + 0.5 - 0.5 * _libm_log(n)) - half_u
+            out = np.where(huge, stirling, out)[()]
+    return out

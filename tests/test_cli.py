@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,57 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def probe(code, **env):
+    """stdout of ``code`` in a fresh interpreter; an ``env`` value of None unsets it."""
+    child = {**ENV, **env}
+    child = {key: value for key, value in child.items() if value is not None}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child, check=True)
+    return result.stdout.split()
+
+
+def test_package_import_loads_no_numpy():
+    """``import pawclock`` loads no numpy and leaves the environment alone,
+    so ``python -m pawclock`` can set the BLAS first."""
+    code = ("import os, sys; before = dict(os.environ); import pawclock; "
+            "print('numpy' in sys.modules, os.environ == before)")
+    assert probe(code, OPENBLAS_NUM_THREADS=None) == ["False", "True"]
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")])
+def test_command_runs_blas_on_one_thread_unless_set(given, seen):
+    """The command's module sets OPENBLAS_NUM_THREADS=1 before numpy starts,
+    as every product stays within marginals._BLAS_BOUND; a set value wins."""
+    code = "import os, pawclock.__main__; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert probe(code, OPENBLAS_NUM_THREADS=given) == [seen]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_command_process_has_one_thread():
+    """With the default setting, OpenBLAS starts no worker in the command's process."""
+    code = ("import pawclock.__main__; print(*[line for line in open('/proc/self/status') "
+            "if line.startswith('Threads:')])")
+    assert probe(code, OPENBLAS_NUM_THREADS=None) == ["Threads:", "1"]
+
+
+def test_lazy_exports_resolve_and_list():
+    """Every name of __all__ imports by ``*``, is listed by dir() and is its
+    module's object; an unknown name is an AttributeError."""
+    code = """
+from pawclock import *
+import pawclock, pawclock.marginals
+names = set(pawclock.__all__)
+print(len(names) == len(pawclock.__all__), names <= set(dir(pawclock)),
+      all(name in globals() for name in names),
+      pawclock.marginal_phase_space is pawclock.marginals.marginal_phase_space)
+try:
+    pawclock.no_such_name
+except AttributeError as exc:
+    print("no_such_name" in str(exc))
+"""
+    assert probe(code) == ["True"] * 5
+
+
 def test_out_of_memory_exits_one(monkeypatch, tmp_path, capsys):
     """A MemoryError, as numpy raises for an oversize grid, exits 1 with one
     error line and no traceback; nothing large is allocated here."""
@@ -148,6 +200,16 @@ def test_state_flag_that_no_state_reads_exits_two(argv, message, tmp_path):
     assert result.returncode == 2, (result.stdout, result.stderr)
     assert result.stderr.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("name", ["marg-pq", "marg-et", "marg-qt"])
+def test_odd_m_on_a_balanced_figure_exits_two(name, tmp_path):
+    """The marg-* fallback holds Fock levels M and M/2, so an odd --m is a
+    malformed argument: exit 2 and one error line, where it exited 1."""
+    result = run_cli("figure", name, "--m", "3", "--out", str(tmp_path))
+    assert result.returncode == 2, (result.stdout, result.stderr)
+    assert result.stderr.splitlines() == ["error: --m 3: mass must be an even integer >= 2"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_fallback_states_read_m(tmp_path):
@@ -556,6 +618,22 @@ def test_beta_where_m_alpha_squared_overflows_is_zero(argv):
     assert result.returncode == 0 and result.stderr == "", result.stderr
     payload = json.loads(result.stdout)
     assert payload["log_magnitude"] == -math.inf
+    assert payload["magnitude_squared"] == 0.0 and payload["phase"] == 0.0
+
+
+def test_beta_where_ln_factorial_overflows_is_finite():
+    """At n = 1e307, 3e307 and 5e307 both n*ln(Q/sqrt(2)) and ln(n!) overflow,
+    yet log|<alpha|n>| = -7.9e307 at n = 1e307 is a float, and it sets
+    log|beta|.  It was inf - inf: NaN and a RuntimeWarning, exit 0."""
+    ratio = f"{2 * 10**307 + 1}/2"
+    result = run_cli("beta", "--two-j", "6", "--m", "1", "--kappa-r", ratio,
+                     "--theta", "1", "--big-q", "1e150")
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    payload = json.loads(result.stdout)
+    with mpmath.workdps(40):
+        n, root = mpmath.mpf(10) ** 307, mpmath.mpf(1e150) / mpmath.sqrt(2)
+        exact = float(n * mpmath.log(root) - root ** 2 / 2 - mpmath.loggamma(n + 1) / 2)
+    assert payload["log_magnitude"] == pytest.approx(exact, rel=1e-13)
     assert payload["magnitude_squared"] == 0.0 and payload["phase"] == 0.0
 
 
