@@ -35,6 +35,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -294,10 +295,54 @@ def _grid_axis(grids: dict, prefix: str, default: GridAxis) -> GridAxis:
                     grids.get(f"{prefix}_count", default.count))
 
 
+def _record_rows(items, indent: str) -> list[str] | None:
+    """The items of a list of scalar-valued dicts with one key set, each
+    column formatted by one map and each row by one template; else None."""
+    keys = isinstance(items[0], dict) and items[0].keys()
+    if not keys or not all(isinstance(row, dict) and row.keys() == keys for row in items):
+        return None
+    names, columns = sorted(keys), []
+    for name in names:
+        column = [row[name] for row in items]
+        kinds = set(map(type, column))
+        if not all(issubclass(kind, (str, int, float, type(None))) for kind in kinds):
+            return None
+        exact = kinds == {float} and all(map(math.isfinite, column))
+        form = float.__repr__ if exact else int.__repr__ if kinds == {int} else _json_text
+        columns.append(map(form, column))
+    inner = indent + "  "
+    template = "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names) + indent + "}"
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte for str
+    keys, by json.encoder's rules in its order but one join per level, not a
+    generator per item; ``indent`` opens each line of ``value``'s level."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = value and (_record_rows(value, inner) or [_json_text(v, inner) for v in value])
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
+    if isinstance(value, dict):
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+            for key in sorted(value)) + indent + "}" if value else "{}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
 
@@ -349,7 +394,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     state = _resolve_state(args, config)
     summary = _state_summary(state)
     summary["constraint_residual"] = paw_constraint_residual(state)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_json_text(summary))
     out = _out_dir(args, config)
     _write_json(out / "state.json", state_to_dict(state))
     return 0
@@ -415,7 +460,7 @@ def cmd_schrodinger(args: argparse.Namespace) -> int:
         "residuals": list(study.residuals),
         "order": study.order,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
     return 0
 
 
@@ -434,7 +479,7 @@ def cmd_beta(args: argparse.Namespace) -> int:
         "phase": amp.phase,
         "magnitude_squared": amp.magnitude_squared,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
     return 0
 
 
@@ -488,7 +533,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_passed = all(check["passed"] for check in checks)
     report = {"checks": checks, "all_passed": all_passed,
               "state": _state_summary(state)}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json_text(report))
     return 0 if all_passed else 1
 
 

@@ -15,8 +15,9 @@ import tracemalloc
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pawclock
@@ -489,6 +490,93 @@ def test_build_reads_back_its_own_state_file(tmp_path):
     summary = json.loads(result.stdout[:result.stdout.rfind("}") + 1])
     assert summary["two_J"] == 6
     assert (tmp_path / "again" / "state.json").exists()
+
+
+def indented(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.floats().map(np.float64), st.text())
+
+
+@st.composite
+def record_lists(draw, children):
+    """Lists of dicts with one key set, each key's values of one drawn kind:
+    exact ints, finite floats, any scalar, or any document."""
+    keys = draw(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    kinds = [st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+             SCALARS, children]
+    row = st.fixed_dictionaries({key: draw(st.sampled_from(kinds)) for key in keys})
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+DOCUMENTS = st.recursive(
+    SCALARS, lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(st.text(), children, max_size=4),
+        record_lists(children)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=DOCUMENTS)
+@example(doc={"x": np.float64(0.1), "rows": [{"w": np.float64(1.5)}, {"w": np.float64(-0.0)}]})
+@example(doc=[{"flag": True, "n": 1}, {"flag": 1, "n": False}])
+@example(doc=[{"v": math.nan}, {"v": math.inf}, {"v": -math.inf}, {"v": -0.0}])
+@example(doc=[math.nan, math.inf, -math.inf, -0.0, {"v": -0.0}])
+@example(doc=[{"%s": "%d", "a%%b": 1.5}, {"%s": "%", "a%%b": 2.5}])
+@example(doc={"é\n\x00": [" \x1f\"\\", "ü"], "rows": [{"\x7f": "ñ"}]})
+@example(doc=[{"a": [], "b": {}}, {"a": [], "b": {}}])
+@example(doc=[{}, {}, []])
+def test_json_text_is_json_dumps(doc):
+    """The CLI's writer returns json.dumps(doc, indent=2, sort_keys=True) exactly."""
+    assert cli._json_text(doc) == indented(doc)
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, {1: "one"}, [{"a": {1}}, {"a": {2}}], [object()]],
+                         ids=["set", "int-key", "set-in-records", "object"])
+def test_json_text_refuses_what_it_cannot_write(doc):
+    with pytest.raises(TypeError):
+        cli._json_text(doc)
+
+
+DENSE_170 = ["--two-j", "510", "--m", "170", "--kappa-r", "1/2"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["build", *SPIN3], 0),
+    (["schrodinger"], 0),
+    (["schrodinger", *DENSE_170], 0),
+    (["beta", "--theta", "1", "--big-q", "0.5", "--big-p", "-0.25"], 0),
+    (["beta", "--theta", "0"], 0),
+    (["verify", *DENSE_170], 0),
+    (["verify", *DENSE_170, "--tamper-shift-n", "1"], 1),
+], ids=["build", "schrodinger-2J6", "schrodinger-M170", "beta", "beta-theta0",
+        "verify", "verify-tampered"])
+def test_json_stdout_is_canonical(argv, code, tmp_path):
+    """Every JSON report the CLI prints is json.dumps(..., indent=2,
+    sort_keys=True) of itself; build's is followed by its "wrote" line."""
+    if argv[0] == "build":
+        argv = [*argv, "--out", str(tmp_path)]
+    exit_code, stdout = main_in_process(argv)
+    text = stdout.split("wrote ")[0]
+    assert exit_code == code
+    assert text == indented(json.loads(text)) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi2-j3", "--theta-count", "5"],
+    ["chi2-largeJ", "--theta-count", "5"],
+    ["marg-pq", "--grid", "q_count=5", "--grid", "p_count=4"],
+    ["marg-et", "--grid", "e_count=5"],
+    ["marg-qt", "--grid", "q_count=5", "--grid", "t_count=4"],
+    ["orbits-pq", "--m", "8", "--samples", "4"],
+    ["orbits-et", "--samples", "4"],
+], ids=lambda argv: argv[0])
+def test_figure_sidecar_is_canonical(argv, tmp_path):
+    assert main_in_process(["figure", *argv, "--out", str(tmp_path)])[0] == 0
+    text = (tmp_path / f"{argv[0]}.json").read_text()
+    assert text == indented(json.loads(text)) + "\n"
 
 
 # ---------------------------------------------------------------------------
