@@ -19,7 +19,9 @@ phi, and costs O(N + 2J).
 
 Exit codes: 0 success, 1 runtime failure (failed verification, no memory),
 2 malformed arguments or config, 3 unknown figure name, 4 state that is not
-entanglement-admissible (or otherwise cannot be assembled).
+entanglement-admissible (or otherwise cannot be assembled).  A reader that
+closes the output pipe early ends the ``pawclock`` command by SIGPIPE where
+the platform has it (status 141 in a POSIX shell), with nothing on stderr.
 """
 
 from __future__ import annotations

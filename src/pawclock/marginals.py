@@ -229,6 +229,7 @@ def default_time_axis(state: PawState) -> GridAxis:
 # phase-space marginal
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")  # a U beyond a float is inf, and its density 0
 def marginal_phase_space(state: PawState, q_axis: GridAxis | None = None,
                          p_axis: GridAxis | None = None) -> DistributionGrid:
     """Density (M/2pi) sum_m |c_m|^2 e^{-U} U^{n_m}/n_m!, U = M(Q^2+P^2)/2.

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -429,6 +430,34 @@ def test_axis_wider_than_a_float_exits_two(axis, argv, tmp_path):
     assert result.stderr.splitlines() == [
         f"error: axis {axis} needs start < stop a finite width apart, got -1e+308 and 1e+308"]
     assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+def test_phase_space_where_u_overflows_is_zero(tmp_path):
+    """Cells whose U = M(Q^2 + P^2)/2 overflows a float hold density 0: exit 0,
+    nothing on stderr (no numpy warning), every value finite."""
+    result = run_cli("figure", "marg-pq", "--grid", "q_start=-1e200", "--grid", "q_stop=1e200",
+                     "--grid", "q_count=5", "--grid", "p_count=5", "--out", str(tmp_path))
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    table = np.loadtxt(tmp_path / "marg-pq.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(table).all()
+    assert (table[np.abs(table[:, 0]) >= 5e199, 2] == 0.0).all()
+    assert (table[table[:, 0] == 0.0, 2] > 0.0).any()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_output_pipe_ends_quietly():
+    """A reader that closes the pipe before the output comes ends the command
+    by SIGPIPE, with nothing on stderr, as it ends cat."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.Popen(BASE + ["conditional", "--two-j", "510", "--m", "170",
+                                         "--kappa-r", "1/2", "--theta", "1"],
+                                 stdout=write_end, stderr=subprocess.PIPE, env=ENV)
+    finally:
+        os.close(write_end)
+    _, stderr = child.communicate(timeout=120)
+    assert (child.returncode, stderr) == (-signal.SIGPIPE, b"")
 
 
 def test_axis_with_a_subnormal_step_exits_two(tmp_path):

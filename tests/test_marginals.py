@@ -264,6 +264,20 @@ def test_phase_space_matches_per_cell_sweep_bitwise(state, q_axis, p_axis):
     assert grid.values.tobytes() == expected.values.tobytes()
 
 
+@pytest.mark.parametrize("route", ["loop", "convolution"])
+def test_phase_space_is_zero_where_u_overflows(route):
+    """Where U = M(Q^2 + P^2)/2 overflows a float, both routes give density 0,
+    with no numpy warning, and keep the other cells finite."""
+    axis = GridAxis("Q", -1e200, 1e200, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = phase_space_by(route, dense_family_state(10), axis,
+                              GridAxis("P", -2.5, 2.5, 5))
+    assert np.isfinite(grid.values).all()
+    assert (grid.values[[0, 1, 3, 4]] == 0.0).all()
+    assert grid.values[2, 2] > 0.0
+
+
 # The states for which CONVOLUTION_REL is derived, n_max <= 89: dense M <= 60,
 # balanced M <= 88, and random states of 2-6 branches with gapped levels,
 # unequal complex weights and mass 1-12.

@@ -130,7 +130,7 @@ def test_each_distinct_value_is_formatted_once_per_table(tmp_path, monkeypatch):
 def test_default_phase_space_table_formats_its_distinct_values(tmp_path, monkeypatch):
     counts = spy_formatting(monkeypatch)
     write_table(tmp_path / "marg-pq.csv", ["Q", "P", "value"], default_phase_space_columns())
-    assert counts == [801, 801, 61581]
+    assert counts == [801, 801, 61584]
 
 
 def test_default_phase_space_table_write_memory(tmp_path):
