@@ -19,11 +19,9 @@ __version__ = "0.1.0"
 # Module -> the public names it exports.
 _EXPORTS = {
     "classical": (
-        "ClassicalConfig", "EnergyTimeCoordinate", "OrbitParams", "SurvivingLevel",
-        "beta_amplitude", "classical_orbit", "energy_of_theta",
-        "energy_time_coordinate", "hamilton_residual", "orbit_table",
-        "stationary_residual", "surviving_configurations", "theta_of_energy",
-        "write_orbit_csv",
+        "EnergyTimeCoordinate", "SurvivingLevel", "beta_amplitude", "energy_of_theta",
+        "energy_time_coordinate", "orbit_table", "stationary_residual",
+        "surviving_configurations", "theta_of_energy", "write_orbit_csv",
     ),
     "coherent": (
         "LogAmplitude", "SphereCoordinate", "hcs_log_magnitude", "ln_binomial",

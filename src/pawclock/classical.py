@@ -5,8 +5,7 @@ t = phi/eps; the oscillator plane carries the Darboux chart (q, p).  The
 joint amplitude beta(Omega, alpha) weights classical configurations, and in
 the large-(J, M) regime only harmonic orbits at the allowed energies survive.
 This module evaluates beta stably, checks the stationary equation at density
-peaks, lists the surviving energy levels with their phase-space radii, and
-generates the classical orbits together with Hamilton-equation residuals.
+peaks, and lists the surviving levels with their phase-space radii and orbits.
 """
 
 from __future__ import annotations
@@ -133,52 +132,6 @@ def surviving_configurations(state: PawState) -> list[SurvivingLevel]:
     return levels
 
 
-@dataclass(frozen=True)
-class OrbitParams:
-    """Harmonic orbit at fixed energy: q = sqrt(2E)/(M*omega) cos(eta t + phi0).
-
-    eta is a free time-scale constant; eta = M*omega makes the orbit solve the
-    Hamilton equations of H = p^2/2 + (M*omega)^2 q^2 / 2 in physical time.
-    """
-
-    energy: float
-    eta: float
-    phi0: float
-    m_omega: float
-
-    def __post_init__(self) -> None:
-        if self.energy < 0:
-            raise ValueError("energy must be non-negative")
-        if self.m_omega <= 0:
-            raise ValueError("m_omega must be positive")
-
-
-@dataclass(frozen=True)
-class ClassicalConfig:
-    """A sampled point of a classical orbit, in both oscillator charts."""
-
-    energy: float
-    t: float
-    q: float
-    p: float
-    big_q: float
-    big_p: float
-
-
-def classical_orbit(params: OrbitParams, t_grid) -> list[ClassicalConfig]:
-    """Sample the orbit on t_grid; every point conserves H = energy exactly."""
-    amplitude = math.sqrt(2.0 * params.energy)
-    root = math.sqrt(params.m_omega)
-    configs = []
-    for t in np.asarray(t_grid, dtype=float):
-        phase = params.eta * t + params.phi0
-        q = amplitude / params.m_omega * math.cos(phase)
-        p = -amplitude * math.sin(phase)
-        configs.append(ClassicalConfig(energy=params.energy, t=float(t), q=q, p=p,
-                                       big_q=q * root, big_p=p / root))
-    return configs
-
-
 ORBIT_COLUMNS = ("E", "t", "q", "p", "Q", "P")
 
 
@@ -186,13 +139,12 @@ def orbit_table(state: PawState, samples: int = 256) -> tuple[np.ndarray, ...]:
     """Orbits of every surviving level over one oscillator period, as columns.
 
     Returns the six columns E, t, q, p, Q, P (see ORBIT_COLUMNS), one row per
-    sample, level after level in the order of ``surviving_configurations``.
-    Energies use the large-M asymptote omega*n, so the dimensionless radii
-    are exactly sqrt(2n/M) as in the dense-orbit picture.  All levels share
-    the phase grid M*omega*t (eta = M*omega, phi0 = 0), so cos and sin are
-    taken once per sample, with ``math`` as in ``classical_orbit``; each
-    level is that grid scaled by its amplitude, and every entry equals the
-    one ``classical_orbit`` gives.
+    sample, level after level in the order of ``surviving_configurations``:
+    q = sqrt(2E)/(M*omega) cos(M*omega*t), p = -sqrt(2E) sin(M*omega*t), with
+    the large-M energies omega*n, so the radii in Q, P are exactly sqrt(2n/M).
+    cos and sin are taken once per sample of the shared phase grid, with
+    ``math`` as the orbit files were written: numpy's own SIMD cos and sin,
+    on builds that have them, need not match those bytes in the last bit.
     """
     m_omega = state.mass * state.oscillator.omega
     t_grid = np.linspace(0.0, 2.0 * math.pi / m_omega, samples, endpoint=False)
@@ -205,26 +157,8 @@ def orbit_table(state: PawState, samples: int = 256) -> tuple[np.ndarray, ...]:
     q = amplitude / m_omega * cos
     p = -amplitude * sin
     root = math.sqrt(m_omega)
-    levels = len(energies)
-    return (np.repeat(energies, samples), np.tile(t_grid, levels),
+    return (np.repeat(energies, samples), np.tile(t_grid, len(energies)),
             q.ravel(), p.ravel(), (q * root).ravel(), (p / root).ravel())
-
-
-def hamilton_residual(params: OrbitParams, t: float, dt: float) -> tuple[float, float]:
-    """Central-difference defects of the two Hamilton equations at time t.
-
-    Returns (|dq/dt - (eta/M*omega) dH/dp|, |dp/dt + (eta/M*omega) dH/dq|);
-    both shrink as dt^2 since the orbit solves the rescaled equations exactly.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    before, center, after = classical_orbit(params, [t - dt, t, t + dt])
-    factor = params.eta / params.m_omega
-    dq_dt = (after.q - before.q) / (2.0 * dt)
-    dp_dt = (after.p - before.p) / (2.0 * dt)
-    residual_q = abs(dq_dt - factor * center.p)
-    residual_p = abs(dp_dt + factor * params.m_omega ** 2 * center.q)
-    return residual_q, residual_p
 
 
 def write_orbit_csv(columns, path) -> None:

@@ -45,6 +45,7 @@ import numpy as np
 from .classical import beta_amplitude, orbit_table, surviving_configurations, write_orbit_csv
 from .constraints import (
     NoOddOverEvenForm,
+    OscillatorSpec,
     brute_force_pairs,
     enumerate_pairs,
     reduce_ratio,
@@ -205,6 +206,14 @@ _PHASE = _checked(float, lambda value: math.isfinite(value) and value >= 0.0,
 _SPINS = _checked(lambda text: tuple(int(part) for part in text.split(",") if part.strip()),
                   lambda spins: spins and all(j > 0 and j % 3 == 0 for j in spins),
                   "comma-separated positive multiples of 3")
+
+
+def parse_state_mass(text: str) -> int:
+    """_COUNT for a state's M, which must also be at most the largest float."""
+    try:
+        return OscillatorSpec(mass=_COUNT(text), omega=1.0).mass
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def parse_coefficient(text: str) -> tuple[int, complex]:
@@ -663,7 +672,7 @@ def _add_state_flags(parser: argparse.ArgumentParser, coeff_help: str | None = N
                         help="JSON scenario config (unknown keys are rejected)")
     parser.add_argument("--two-j", dest="two_j", type=_COUNT, default=None,
                         help="total spin as the integer 2J")
-    parser.add_argument("--m", dest="m", type=_COUNT, default=None,
+    parser.add_argument("--m", dest="m", type=parse_state_mass, default=None,
                         help="oscillator mass M (integer)")
     parser.add_argument("--epsilon-over-omega", dest="epsilon_over_omega",
                         type=parse_state_ratio, default=None, metavar="N/D",

@@ -17,6 +17,7 @@ admissibility.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -59,6 +60,8 @@ class OscillatorSpec:
     def __post_init__(self) -> None:
         if self.mass < 1:
             raise ValueError("mass must be a positive integer")
+        if self.mass > sys.float_info.max:
+            raise ValueError("mass M is too large for a float (over 1.8e308)")
         if not self.omega > 0:
             raise ValueError("omega must be positive")
 

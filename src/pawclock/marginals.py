@@ -457,7 +457,8 @@ def _hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
     subnormal arithmetic.
     """
     table = np.empty((n_max + 1, x.size))
-    log_scale = -0.5 * x * x - 0.25 * math.log(math.pi)
+    with np.errstate(over="ignore"):  # x*x beyond a float: -inf, so psi_n = 0
+        log_scale = -0.5 * x * x - 0.25 * math.log(math.pi)
     previous, current = np.zeros_like(x), np.ones_like(x)
     for n in range(n_max + 1):
         table[n] = current * np.exp(log_scale)

@@ -11,12 +11,9 @@ from hypothesis import strategies as st
 from scipy.special import comb, factorial
 
 from pawclock.classical import (
-    OrbitParams,
     beta_amplitude,
-    classical_orbit,
     energy_of_theta,
     energy_time_coordinate,
-    hamilton_residual,
     orbit_table,
     stationary_residual,
     surviving_configurations,
@@ -206,48 +203,54 @@ def test_surviving_configurations_radii():
     assert levels[-1].radius_q < math.sqrt(3.0)
 
 
-def test_classical_orbit_conserves_energy():
-    params = OrbitParams(energy=37.0, eta=170.0, phi0=0.4, m_omega=170.0)
-    t_grid = np.linspace(0.0, 2.0 * math.pi / 170.0, 64, endpoint=False)
-    for config in classical_orbit(params, t_grid):
-        energy = 0.5 * config.p ** 2 + 0.5 * (params.m_omega * config.q) ** 2
-        assert energy == pytest.approx(37.0, rel=1e-12)
+def test_orbit_table_conserves_energy():
+    """Every row lies on its level's shell p^2/2 + (M omega q)^2/2 = E, to a
+    few roundings of the largest E."""
+    state = dense_family_state(170)
+    energy, _, q, p, _, _ = orbit_table(state, samples=64)
+    shell = 0.5 * p ** 2 + 0.5 * (state.mass * state.oscillator.omega * q) ** 2
+    assert np.max(np.abs(shell - energy)) <= 4e-15 * np.max(energy)
 
 
-def test_classical_orbit_dimensionless_radius():
-    """Big-Q amplitude is sqrt(2E/(M omega)): radius sqrt(2n/M) at E = omega*n."""
-    m_omega = 170.0
-    n = 100
-    params = OrbitParams(energy=float(n), eta=m_omega, phi0=0.0, m_omega=m_omega)
-    configs = classical_orbit(params, [0.0])
-    assert configs[0].big_q == pytest.approx(math.sqrt(2.0 * n / 170.0), rel=1e-14)
-    assert configs[0].big_p == pytest.approx(0.0, abs=1e-14)
+def _time_derivative(rows, period):
+    """d/dt of each row, sampled over one period, by the FFT: exact for a sinusoid."""
+    samples = rows.shape[1]
+    spectrum = np.fft.rfft(rows) * (2j * math.pi / period * np.arange(samples // 2 + 1))
+    return np.fft.irfft(spectrum, n=samples)
 
 
-def test_hamilton_residual_second_order():
-    params = OrbitParams(energy=5.0, eta=170.0, phi0=0.1, m_omega=170.0)
-    dts = [1e-4 / 2 ** i for i in range(4)]
-    residuals = [max(hamilton_residual(params, 0.123, dt)) for dt in dts]
-    slope = np.polyfit(np.log(dts), np.log(residuals), 1)[0]
-    assert slope == pytest.approx(2.0, abs=0.05)
+@pytest.mark.parametrize("make_state", [
+    spin3_pair_state, lambda: dense_family_state(10), lambda: dense_family_state(170),
+    lambda: large_j_pair_state(120)], ids=["spin3", "dense10", "dense170", "largeJ120"])
+def test_orbit_table_solves_hamilton_equations(make_state):
+    """Each level's rows solve dq/dt = p and dp/dt = -(M omega)^2 q, the
+    Hamilton equations of H = p^2/2 + (M omega)^2 q^2/2 in physical time.
 
-
-def test_hamilton_residual_rescaled_time():
-    """With eta != M*omega the orbit solves the eta-rescaled equations."""
-    params = OrbitParams(energy=5.0, eta=17.0, phi0=0.1, m_omega=170.0)
-    rq, rp = hamilton_residual(params, 0.2, 1e-6)
-    assert rq < 1e-6 and rp < 1e-4
+    The t axis spans one period, so the derivatives are taken by the FFT, with
+    no step; the bounds are relative to the largest amplitude of p and dp/dt.
+    """
+    state = make_state()
+    samples = 64
+    _, _, q, p, _, _ = orbit_table(state, samples=samples)
+    m_omega = state.mass * state.oscillator.omega
+    period = 2.0 * math.pi / m_omega
+    q, p = q.reshape(-1, samples), p.reshape(-1, samples)
+    scale = np.max(np.abs(p))
+    assert np.max(np.abs(_time_derivative(q, period) - p)) <= 1e-12 * scale
+    assert (np.max(np.abs(_time_derivative(p, period) + m_omega ** 2 * q))
+            <= 1e-12 * m_omega * scale)
 
 
 def test_orbit_family_covers_every_level():
-    state = dense_family_state(4)
+    """Each level's rows circle the origin of the Q, P chart at its radius
+    sqrt(2n/M), to 8 ulp of the radius, at M = 4 and at M = 170."""
     samples = 32
-    energy, _, _, _, big_q, big_p = orbit_table(state, samples=samples)
-    levels = surviving_configurations(state)
-    assert len(energy) == samples * len(levels)
-    radii = sorted({round(r, 10) for r in np.hypot(big_q, big_p).tolist()})
-    expected = sorted({round(lv.radius_q, 10) for lv in levels})
-    assert radii == expected
+    for state in (dense_family_state(4), dense_family_state(170)):
+        energy, _, _, _, big_q, big_p = orbit_table(state, samples=samples)
+        levels = surviving_configurations(state)
+        assert len(energy) == samples * len(levels)
+        radius = np.repeat([lv.radius_q for lv in levels], samples)
+        assert np.all(np.abs(np.hypot(big_q, big_p) - radius) <= 8 * np.spacing(radius))
 
 
 def test_write_orbit_csv(tmp_path):

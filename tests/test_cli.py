@@ -286,6 +286,33 @@ def test_ratio_beyond_float_exits_two(command, tmp_path):
         assert errors[0].endswith("eps/omega is too large for a float (over 1.8e308)")
 
 
+HUGE_MASS = 10**400  # beyond the largest float
+
+
+@pytest.mark.parametrize("command", [
+    ["orbits"], ["figure", "orbits-pq"], ["figure", "marg-pq"], ["figure", "marg-qt"],
+    ["figure", "marg-et"], ["beta", "--theta", "1"], ["build"], ["chi2"],
+    ["conditional", "--theta", "1"], ["verify"]],
+    ids=["orbits", "orbits-pq", "marg-pq", "marg-qt", "marg-et", "beta", "build", "chi2",
+         "conditional", "verify"])
+def test_mass_beyond_float_exits_two(command, tmp_path):
+    """M scales the float oscillator charts, so an M too large for a float is
+    refused with one error line, from --m and from a config.  It was an
+    OverflowError traceback, a zero-width e axis (marg-et), or a state that
+    build, chi2, conditional and verify accepted."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"state": spin3_document(M=HUGE_MASS)}))
+    out = ["--out", str(tmp_path / "out")] if command[0] in {"orbits", "figure", "chi2"} else []
+    for flags in (["--two-j", "3", "--epsilon-over-omega", "1/2", "--m", str(HUGE_MASS)],
+                  ["--config", str(path)]):
+        result = run_cli(*command, *flags, *out)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, result.stderr
+        assert errors[0].endswith("mass M is too large for a float (over 1.8e308)")
+
+
 # balanced M = 170 at a reading where chi^2 = e^-940.5 underflows a double
 FAR_READING = ["--two-j", "510", "--m", "170", "--kappa-r", "1/2",
                "--coeff", "171=1", "--coeff", "341=1", "--theta", "0.05"]
@@ -471,6 +498,17 @@ def test_axis_with_a_subnormal_step_exits_two(tmp_path):
         "error: axis Q needs a step of at least the smallest normal float, "
         "2.2250738585072014e-308, got -1e-320 to 1e-320 in 3 samples"]
     assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+def test_marg_qt_where_q_squared_overflows_is_silent(tmp_path):
+    """At |Q| >= 5e199 the square of the Hermite argument overflows a float;
+    the Gaussian factor is 0 there, so the density is 0, and numpy warns of
+    nothing.  It printed a RuntimeWarning on stderr."""
+    result = run_cli("figure", "marg-qt", "--grid", "q_start=-1e200", "--grid", "q_stop=1e200",
+                     "--grid", "q_count=5", "--grid", "t_count=4", "--out", str(tmp_path))
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    q, _, value = np.loadtxt(tmp_path / "marg-qt.csv", delimiter=",", skiprows=1).T
+    assert np.all(value[q != 0.0] == 0.0) and np.all(value[q == 0.0] > 0.0)
 
 
 @pytest.mark.parametrize("command", [

@@ -504,7 +504,6 @@ UNCALLED_EXPORTS = {
     "classical_limit_section",  # item 6
     "space_time_diagonal",  # item 6
     "stationary_residual",  # item 7
-    "hamilton_residual",  # item 7
     "theta_of_energy",  # item 7
     "energy_time_coordinate",  # item 7
     "EnergyTimeCoordinate",  # item 7: what energy_time_coordinate returns

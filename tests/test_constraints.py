@@ -1,6 +1,7 @@
 """Unit tests for the exact constraint arithmetic and pair enumeration."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,14 @@ def test_oscillator_spec_levels():
     with pytest.raises(ValueError):
         OscillatorSpec(mass=0, omega=1.0)
 
+
+
+def test_oscillator_spec_mass_up_to_the_largest_float():
+    """The largest float is a mass, written as an int; one more is refused."""
+    largest = int(sys.float_info.max)
+    assert OscillatorSpec(mass=largest, omega=1.0).mass == largest
+    with pytest.raises(ValueError, match="too large for a float"):
+        OscillatorSpec(mass=largest + 1, omega=1.0)
 
 def test_coupling_ratios_from_parameters():
     ratios = CouplingRatios.from_parameters(Fraction(3, 4), two_j=6, mass=1)

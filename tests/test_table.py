@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pawclock.classical import (
-    OrbitParams,
-    classical_orbit,
-    orbit_table,
-    surviving_configurations,
-    write_orbit_csv,
-)
+from pawclock.classical import orbit_table, surviving_configurations, write_orbit_csv
 from pawclock import table
 from pawclock.marginals import GridAxis, marginal_phase_space
 from pawclock.pawstate import (
@@ -203,39 +197,41 @@ ORBIT_CASES = [
 ]
 
 
+def closed_form_rows(state, samples: int) -> np.ndarray:
+    """Rows E, t, q, p, Q, P of every surviving level, each entry evaluated on
+    its own from q = sqrt(2E)/(M omega) cos(M omega t), p = -sqrt(2E) sin(M omega t),
+    Q = q sqrt(M omega) and P = p / sqrt(M omega)."""
+    m_omega = state.mass * state.oscillator.omega
+    root = math.sqrt(m_omega)
+    t_grid = np.linspace(0.0, 2.0 * math.pi / m_omega, samples, endpoint=False).tolist()
+    rows = []
+    for level in surviving_configurations(state):
+        energy = level.energy_classical
+        amplitude = math.sqrt(2.0 * energy)
+        for t in t_grid:
+            q = amplitude / m_omega * math.cos(m_omega * t)
+            p = -amplitude * math.sin(m_omega * t)
+            rows.append((energy, t, q, p, q * root, p / root))
+    return np.array(rows).reshape(-1, 6)
+
+
 @pytest.mark.parametrize("make_state, samples", ORBIT_CASES)
-def test_orbit_table_equals_classical_orbit_bitwise(make_state, samples):
-    """Each level's block of rows is bit for bit the orbit classical_orbit samples
-    with eta = M*omega and phi0 = 0."""
+def test_orbit_table_equals_closed_form_bitwise(make_state, samples):
+    """Each level's block of rows is bit for bit the closed-form orbit."""
     state = make_state()
     table = np.column_stack(orbit_table(state, samples=samples))
-    levels = surviving_configurations(state)
-    assert table.shape == (len(levels) * samples, 6)
-    m_omega = state.mass * state.oscillator.omega
-    t_grid = np.linspace(0.0, 2.0 * math.pi / m_omega, samples, endpoint=False)
-    for index, level in enumerate(levels):
-        params = OrbitParams(energy=level.energy_classical, eta=m_omega, phi0=0.0,
-                             m_omega=m_omega)
-        expected = np.array([[c.energy, c.t, c.q, c.p, c.big_q, c.big_p]
-                             for c in classical_orbit(params, t_grid)])
-        block = table[index * samples:(index + 1) * samples]
-        assert np.array_equal(block.view(np.int64), expected.view(np.int64)), level.n
+    expected = closed_form_rows(state, samples)
+    assert table.shape == (len(surviving_configurations(state)) * samples, 6)
+    assert np.array_equal(table.view(np.int64), expected.view(np.int64))
 
 
 def test_orbit_family_and_csv_follow_the_table(tmp_path):
-    """The CSV of the table is savetxt of the per-level classical_orbit family."""
+    """The CSV of the table is savetxt of the closed-form orbit rows."""
     state = dense_family_state(10)
-    m_omega = state.mass * state.oscillator.omega
-    t_grid = np.linspace(0.0, 2.0 * math.pi / m_omega, 16, endpoint=False)
-    family = []
-    for level in surviving_configurations(state):
-        family.extend(classical_orbit(
-            OrbitParams(energy=level.energy_classical, eta=m_omega, phi0=0.0,
-                        m_omega=m_omega), t_grid))
-    rows = np.array([[c.energy, c.t, c.q, c.p, c.big_q, c.big_p] for c in family])
     write_orbit_csv(orbit_table(state, samples=16), tmp_path / "table.csv")
     assert (tmp_path / "table.csv").read_bytes() == savetxt_bytes(
-        tmp_path / "expected.csv", ["E", "t", "q", "p", "Q", "P"], rows.T)
+        tmp_path / "expected.csv", ["E", "t", "q", "p", "Q", "P"],
+        closed_form_rows(state, 16).T)
 
 
 def test_write_orbit_csv_of_no_configs_is_the_header(tmp_path):
