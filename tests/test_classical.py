@@ -241,6 +241,17 @@ def test_orbit_table_solves_hamilton_equations(make_state):
             <= 1e-12 * m_omega * scale)
 
 
+def test_classical_orbit_dimensionless_radius():
+    """Big-Q amplitude is sqrt(2E/(M omega)): radius sqrt(2n/M) at E = omega*n,
+    read from the t = 0 row of level n = 100 at M = 170."""
+    n = 100
+    energy, t, _, _, big_q, big_p = orbit_table(dense_family_state(170), samples=8)
+    row = np.flatnonzero((energy == float(n)) & (t == 0.0))
+    assert len(row) == 1
+    assert big_q[row[0]] == pytest.approx(math.sqrt(2.0 * n / 170.0), rel=1e-14)
+    assert big_p[row[0]] == pytest.approx(0.0, abs=1e-14)
+
+
 def test_orbit_family_covers_every_level():
     """Each level's rows circle the origin of the Q, P chart at its radius
     sqrt(2n/M), to 8 ulp of the radius, at M = 4 and at M = 170."""
